@@ -5,13 +5,14 @@
 # prefetcher, the trace combinators and the scenario spec codec, one
 # bench-balance iteration so policy-dispatch overhead is tracked, and one
 # bench-fabric iteration asserting the 512-, 4096- and 16384-node
-# presets' event budgets.
+# presets' event budgets, plus the benchmark module's own vet and tests
+# (perfbench is a separate module that the root test run never builds).
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
 
-ci: fmt-check vet build test race examples-smoke clusterd-smoke fuzz-smoke bench-balance bench-fabric
+ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench-balance bench-fabric
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -41,6 +42,12 @@ examples-smoke:
 # restart.
 clusterd-smoke:
 	$(GO) test -count=1 -run '^TestClusterdSmoke$$' ./internal/clusterd
+
+# perfbench is its own Go module (ampom/perfbench), so `go test ./...` at
+# the root never compiles it; vet and test it here so a change to the root
+# module cannot break the benchmark silently.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over the AMPoM per-fault analysis, the trace
 # combinator algebra, the scenario spec JSON codec and the event queue's

@@ -141,9 +141,9 @@ func TestFacadeCampaignEngine(t *testing.T) {
 	}
 }
 
-// TestFacadePolicyRegistry drives the v2 balancer surface: the registry
-// lists all five built-ins in sorted order, lookups and sweeps work, and
-// the deprecated v1 shims still answer.
+// TestFacadePolicyRegistry drives the balancer surface: the registry lists
+// the built-ins in sorted order, lookups resolve, and a scenario run under
+// a policy subset reports exactly that subset in registry order.
 func TestFacadePolicyRegistry(t *testing.T) {
 	names := BalancerPolicyNames()
 	if len(names) < 5 {
@@ -154,26 +154,22 @@ func TestFacadePolicyRegistry(t *testing.T) {
 			t.Fatalf("built-in policy %q missing", want)
 		}
 	}
-	pols, err := BalancerPolicies(PolicyAMPoM, PolicyNoMigration)
+	if _, err := BalancerPolicies(PolicyAMPoM, PolicyNoMigration); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunScenario(ScenarioSpec{
+		Nodes:    4,
+		Procs:    16,
+		Policies: []string{PolicyNoMigration, PolicyAMPoM},
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := BalanceConfig{Jobs: 16, Nodes: 4}
-	res := CompareBalancers(cfg, pols...)
-	if len(res) != 2 || res[0].Policy != PolicyAMPoM {
-		t.Fatalf("CompareBalancers rows wrong: %+v", res)
+	if len(rep.Schemes) != 2 || rep.Schemes[0].Policy != PolicyAMPoM || rep.Schemes[1].Policy != PolicyNoMigration {
+		t.Fatalf("scenario rows not {AMPoM, no-migration} in registry order: %+v", rep.Schemes)
 	}
-	am := SimulateBalancer(cfg, pols[0])
-	if am.Policy != PolicyAMPoM || am.Makespan <= 0 {
-		t.Fatalf("SimulateBalancer degenerate: %+v", am)
-	}
-	// The deprecated v1 shims keep answering in the v1 order.
-	old := CompareBalancing(cfg)
-	if old[0].Policy != PolicyNoMigration || old[2].Policy != PolicyAMPoM {
-		t.Fatalf("v1 CompareBalancing order broken: %+v", old)
-	}
-	if SimulateBalancing(cfg, BalanceAMPoM).Policy != PolicyAMPoM {
-		t.Fatal("v1 SimulateBalancing shim broken")
+	if am, ok := rep.Scheme(PolicyAMPoM); !ok || am.Makespan <= 0 {
+		t.Fatalf("AMPoM row degenerate: %+v", am)
 	}
 }
 

@@ -29,6 +29,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain before the store's TempDir is removed (cleanups run in reverse
+	// order), so no job still writes its store cell during the removal.
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 	return s, NewClient(hs.URL), hs

@@ -1,10 +1,20 @@
-// Balancer policies as an open extension point. The paper's §7 outlook
-// frames load balancing as a *family* of cost models riding on the
-// migration substrate; this file turns the closed three-policy enum into a
-// BalancerPolicy interface plus a registry, so new policies (the openMosix
-// probabilistic load vectors and memory-pressure ushering of the related
-// HPC-farm literature, queue-length gossip, user-defined models) plug in
-// without touching the simulators that drive them.
+// Package sched holds the load balancer's policies, the paper's §7
+// outlook: "new scheduling policies can make use of AMPoM on openMosix to
+// perform more aggressive migrations since the performance penalty of
+// suboptimal decisions has been dramatically decreased."
+//
+// A policy is a BalancerPolicy: a name, a migration cost model and a
+// decision. The classic cost-benefit policies only migrate a process when
+// its expected remaining work justifies the migration cost (the
+// conservatism of Harchol-Balter & Downey, the paper's [10]); because
+// AMPoM's cost model is orders of magnitude cheaper than openMosix's
+// copy-everything freeze, the same rule fires far more often — the "more
+// aggressive migrations" the paper predicts. The probabilistic load-vector
+// and memory-ushering policies model the dissemination and memory-pressure
+// behaviours openMosix farms tuned in practice, and queue-gossip consumes
+// the gossip-aged queue lengths of the decentralised infod. New policies
+// plug into the registry without touching the cluster scenario engine
+// (internal/scenario) that drives them.
 //
 // A policy is a stateless, immutable value: every input it decides on
 // arrives through the View, including the PRNG stream probabilistic
@@ -37,7 +47,7 @@ type NodeView struct {
 	CapacityMB int64
 	// QueueLen is the node's runnable-queue length as disseminated to the
 	// deciding node: gossip-aged on switched fabrics, exact (equal to
-	// Procs) on the legacy star and in the §7 study.
+	// Procs) on the legacy star.
 	QueueLen int
 	// InfoAge is how stale this row's dissemination entry is. Zero means
 	// ground truth (or a fresh gossip entry).
@@ -198,17 +208,11 @@ func LightweightCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, e
 // offers the policy each balancing round, longest remaining demand first.
 const MaxCandidates = 4
 
-// TopCandidates selects up to MaxCandidates eligible items with the
-// largest remaining demand, earliest-input-first on ties — the shared
-// candidate-selection rule of the sched study and the scenario engine
-// (callers iterate their processes in ascending id order).
-func TopCandidates[T any](items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
-	return TopCandidatesInto(nil, items, eligible, remaining)
-}
-
-// TopCandidatesInto is TopCandidates appending into buf[:0], so hot-path
-// callers (one selection per node per balance round) can reuse one scratch
-// slice instead of allocating per call.
+// TopCandidatesInto selects up to MaxCandidates eligible items with the
+// largest remaining demand, earliest-input-first on ties (callers iterate
+// their processes in ascending id order). It appends into buf[:0], so the
+// scenario engine's balance round (one selection per node) reuses one
+// scratch slice instead of allocating per call.
 func TopCandidatesInto[T any](buf []T, items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
 	top := buf[:0]
 	for _, it := range items {
@@ -286,9 +290,9 @@ func (noMigration) MigrationCost(int64, float64, float64) (simtime.Duration, sim
 
 func (noMigration) ShouldMigrate(View, ProcView) (int, bool) { return 0, false }
 
-// openMosix is the paper's baseline mechanism under the §7 cost-benefit
-// rule: the full-address-space freeze makes most candidate moves fail the
-// rule, so the balancer holds back.
+// openMosix is the paper's baseline mechanism under the cost-benefit rule:
+// the full-address-space freeze makes most candidate moves fail the rule,
+// so the balancer holds back.
 type openMosix struct{}
 
 func (openMosix) Name() string { return NameOpenMosix }
@@ -310,9 +314,9 @@ func (p openMosix) ShouldMigrate(v View, proc ProcView) (int, bool) {
 	return classicTarget(v, proc, freeze, extra)
 }
 
-// ampom is the §7 study's headline policy: the lightweight freeze makes far
-// more candidate moves clear the same rule — the paper's "more aggressive
-// migrations".
+// ampom is the paper's mechanism under the same cost-benefit rule: the
+// lightweight freeze makes far more candidate moves clear it — the §7
+// outlook's "more aggressive migrations".
 type ampom struct{}
 
 func (ampom) Name() string { return NameAMPoM }
