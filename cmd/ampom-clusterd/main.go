@@ -61,6 +61,11 @@ func main() {
 	})
 	cli.Check(err)
 
+	// Catch SIGINT/SIGTERM before announcing the address: a supervisor may
+	// signal as soon as it reads the announcement, and that must drain.
+	ctx, stop := cli.SignalContext(context.Background())
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	cli.Check(err)
 	fmt.Printf("ampom-clusterd: listening on http://%s (store %s)\n", ln.Addr(), store.Dir())
@@ -69,8 +74,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stop := cli.SignalContext(context.Background())
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:

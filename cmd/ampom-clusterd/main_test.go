@@ -25,19 +25,30 @@ import (
 
 var (
 	buildOnce sync.Once
+	binDir    string
 	binPath   string
 	buildErr  error
 )
 
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// daemonBinary builds the daemon once per test process into a directory
+// of its own, so a concurrent test run from another checkout can never
+// replace the executable while a test is starting it.
 func daemonBinary(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
-		dir := filepath.Join(os.TempDir(), "ampom-smoke")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			buildErr = err
+		binDir, buildErr = os.MkdirTemp("", "ampom-clusterd-smoke-")
+		if buildErr != nil {
 			return
 		}
-		binPath = filepath.Join(dir, "ampom-clusterd")
+		binPath = filepath.Join(binDir, "ampom-clusterd")
 		out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput()
 		if err != nil {
 			buildErr = fmt.Errorf("go build: %v\n%s", err, out)

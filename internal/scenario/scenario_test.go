@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -143,67 +142,6 @@ func TestMigrationImprovesSkewedBurst(t *testing.T) {
 	}
 	if base.Migrations != 0 || base.MigrationBytes != 0 {
 		t.Fatal("no-migration baseline moved something")
-	}
-}
-
-// TestCheapFreezeMigratesMoreAggressively is the paper's §7 claim on the
-// scenario engine: the same cost-benefit rule over AMPoM's lightweight
-// freeze migrates more often than over openMosix's full copy, balances the
-// heterogeneous burst better, and freezes each migrant for a small
-// fraction of the time. A balanced start gives the balancer less to do.
-// (small()'s 32 MB footprints make openMosix's freeze cheap too, so the
-// comparison runs on the 128 MB hetero-burst preset.)
-func TestCheapFreezeMigratesMoreAggressively(t *testing.T) {
-	hetero, err := Preset("hetero-burst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hetero.Policies = []string{sched.NameOpenMosix, sched.NameAMPoM}
-	skewed := small()
-	skewed.Policies = []string{sched.NameAMPoM}
-	balanced := skewed
-	balanced.Skew = -1
-
-	perMigrationFreeze := func(s SchemeStats) float64 {
-		return float64(s.FrozenTotal-s.ExtraWork) / float64(s.Migrations)
-	}
-	cases := []struct {
-		name   string
-		a, b   Spec
-		pa, pb string
-		holds  func(a, b SchemeStats) bool
-	}{
-		{"AMPoM out-migrates openMosix", hetero, hetero, sched.NameAMPoM, sched.NameOpenMosix,
-			func(a, b SchemeStats) bool { return a.Migrations > b.Migrations }},
-		{"AMPoM slows down less than openMosix", hetero, hetero, sched.NameAMPoM, sched.NameOpenMosix,
-			func(a, b SchemeStats) bool { return a.MeanSlowdown < b.MeanSlowdown }},
-		{"AMPoM freezes under a fifth of openMosix per migration", hetero, hetero, sched.NameAMPoM, sched.NameOpenMosix,
-			func(a, b SchemeStats) bool {
-				return a.Migrations > 0 && b.Migrations > 0 && perMigrationFreeze(a) < perMigrationFreeze(b)/5
-			}},
-		{"balanced start migrates less than skewed", balanced, skewed, sched.NameAMPoM, sched.NameAMPoM,
-			func(a, b SchemeStats) bool { return a.Migrations < b.Migrations }},
-	}
-
-	reports := map[string]*Report{}
-	row := func(spec Spec, seed uint64, policy string) SchemeStats {
-		key := fmt.Sprintf("%s|%d", spec.Fingerprint(), seed)
-		if reports[key] == nil {
-			reports[key] = MustRun(spec, seed)
-		}
-		st, ok := reports[key].Scheme(policy)
-		if !ok {
-			t.Fatalf("no %s row", policy)
-		}
-		return st
-	}
-	for _, c := range cases {
-		for seed := uint64(1); seed <= 5; seed++ {
-			a, b := row(c.a, seed, c.pa), row(c.b, seed, c.pb)
-			if !c.holds(a, b) {
-				t.Errorf("%s: fails at seed %d:\n  %+v\n  %+v", c.name, seed, a, b)
-			}
-		}
 	}
 }
 
