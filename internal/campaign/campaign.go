@@ -393,18 +393,23 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 			}
 		}()
 	}
-dispatch:
+	// The context is checked before every select: when a worker is parked
+	// on idx, both cases are ready and select picks at random, so a done
+	// context could otherwise still dispatch.
 	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			if skip != nil {
-				for j := i; j < n; j++ {
-					skip(j)
-				}
+		if ctx.Err() == nil {
+			select {
+			case idx <- i:
+				continue
+			case <-ctx.Done():
 			}
-			break dispatch
-		case idx <- i:
 		}
+		if skip != nil {
+			for j := i; j < n; j++ {
+				skip(j)
+			}
+		}
+		break
 	}
 	close(idx)
 	wg.Wait()

@@ -160,6 +160,32 @@ func TestRunScenariosCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestFanOutCtxDoneNeverDispatches locks the dispatch half of the drain
+// contract at the pool itself: under an already-done context no index
+// reaches a worker, however eagerly the workers are parked on the
+// dispatch channel. A select between ctx.Done() and the send picks at
+// random when both are ready, so the loop must check the context first;
+// many repetitions make a random pick all but certain to show.
+func TestFanOutCtxDoneNeverDispatches(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := New(Options{Workers: 4})
+	const jobs = 8
+	for rep := 0; rep < 2000; rep++ {
+		var ran, skipped int64
+		var mu sync.Mutex
+		e.fanOutCtx(ctx, jobs,
+			func(int) { mu.Lock(); ran++; mu.Unlock() },
+			func(int) { mu.Lock(); skipped++; mu.Unlock() })
+		if ran != 0 {
+			t.Fatalf("repetition %d: ran %d jobs under a done context", rep, ran)
+		}
+		if skipped != jobs {
+			t.Fatalf("repetition %d: skipped %d jobs, want %d", rep, skipped, jobs)
+		}
+	}
+}
+
 // TestScenarioProgressHook locks the shape of the progress stream the daemon
 // multiplexes to clients: one sample per completed policy, Done counting up
 // to Total, every sample carrying the job's fingerprint.
