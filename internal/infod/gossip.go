@@ -12,7 +12,8 @@
 // pairing.
 //
 // Storage is compact: a daemon keeps only the origins it has actually
-// heard from (a map of cells plus a recency ring ordering them by last
+// heard from (cells stored inline in fixed-size blocks behind an
+// open-addressed origin index, plus a recency ring ordering them by last
 // refresh), never a dense length-n vector, so the whole gossip plane is
 // O(n·l·retention) resident rather than O(n²). Alongside the periodic
 // pushes, each daemon runs slower anti-entropy pull rounds: it asks one
@@ -21,6 +22,8 @@
 package infod
 
 import (
+	"math"
+
 	"ampom/internal/cluster"
 	"ampom/internal/core"
 	"ampom/internal/memory"
@@ -146,10 +149,24 @@ type GossipEntry struct {
 }
 
 // gossipEntryWire is one entry on the wire (hops as recorded by the
-// sender; the receiver increments).
+// sender; the receiver increments). It is flat and narrow because every
+// push's window escapes into the in-flight message: 40 bytes an entry.
+// Every wire entry is known — a daemon only ever sends samples it holds.
 type gossipEntryWire struct {
-	Origin int
-	Entry  GossipEntry
+	Origin, Queue, Hops int32
+	Load                float64
+	UsedMemMB           int64
+	Stamp               simtime.Time
+}
+
+// entry expands a wire entry into the exported form.
+func (w *gossipEntryWire) entry() GossipEntry {
+	return GossipEntry{
+		Sample: LoadSample{Load: w.Load, Queue: int(w.Queue), UsedMemMB: w.UsedMemMB},
+		Stamp:  w.Stamp,
+		Hops:   int(w.Hops),
+		Known:  true,
+	}
 }
 
 // gossipMsg is one load-vector push (or pull response — the receiver
@@ -165,14 +182,149 @@ type gossipPullMsg struct {
 	From int
 }
 
-// cell is one heard origin's state: the entry itself plus the per-origin
-// staleness EWMA, and the recency-ring position of the origin's latest
-// refresh (the dedup key the window composer checks).
+// cell is one heard origin's state: the entry as it arrived on the wire
+// (hops already incremented), the per-origin staleness EWMA (negative
+// until the first age sample — observed ages are clamped at zero, so a
+// real estimate never is), and the recency-ring position of the origin's
+// latest refresh (the dedup key the window composer checks).
 type cell struct {
-	entry   GossipEntry
+	w       gossipEntryWire
 	ageEst  simtime.Duration
-	haveAge bool
 	ringPos int64
+}
+
+// blockCells is how many cells one storage block holds.
+const blockCells = 32
+
+// cellStore holds a daemon's heard origins: cells stored inline in
+// fixed-size blocks, appended and never copied, so slots 0..n-1 are
+// dense and a block allocation is amortised over blockCells origins.
+// index is an open-addressed linear-probing table (at most half full)
+// mapping an origin to its slot; each occupied entry packs
+// (origin+1)<<32 | slot, so a probe compares origins without touching
+// the cells, and 0 is empty. Removal swap-moves the last cell into the
+// freed slot. Everything is sized by the heard set, never by the cluster.
+type cellStore struct {
+	blocks []*[blockCells]cell
+	n      int
+	index  []uint64
+	bits   uint
+}
+
+// minIndexBits sizes the first index table (16 entries).
+const minIndexBits = 4
+
+// homeAt is origin's home position in an index of 2^bits entries
+// (Fibonacci hashing, so dense and strided origin sets spread evenly).
+func homeAt(origin uint32, bits uint) int {
+	return int((origin * 0x9E3779B9) >> (32 - bits))
+}
+
+// indexKey is the high half of origin's index entries.
+func indexKey(origin int) uint64 { return uint64(uint32(origin)+1) << 32 }
+
+// at returns the cell in slot.
+func (s *cellStore) at(slot int) *cell {
+	return &s.blocks[slot/blockCells][slot%blockCells]
+}
+
+// lookup returns the index position holding origin, if present.
+func (s *cellStore) lookup(origin int) (int, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	key, mask := indexKey(origin), len(s.index)-1
+	for i := homeAt(uint32(origin), s.bits); ; i = (i + 1) & mask {
+		e := s.index[i]
+		if e == 0 {
+			return 0, false
+		}
+		if e&^0xFFFFFFFF == key {
+			return i, true
+		}
+	}
+}
+
+// get returns origin's cell, or nil when it is not held.
+func (s *cellStore) get(origin int) *cell {
+	i, ok := s.lookup(origin)
+	if !ok {
+		return nil
+	}
+	return s.at(int(uint32(s.index[i])))
+}
+
+// place records origin at slot in the index (origin must be absent).
+func (s *cellStore) place(origin, slot int) {
+	mask := len(s.index) - 1
+	i := homeAt(uint32(origin), s.bits)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = indexKey(origin) | uint64(slot)
+}
+
+// add appends a fresh cell for origin (which must be absent), growing the
+// index to keep it at most half full.
+func (s *cellStore) add(origin int) *cell {
+	if 2*(s.n+1) > len(s.index) {
+		bits := uint(minIndexBits)
+		if s.index != nil {
+			bits = s.bits + 1
+		}
+		s.index, s.bits = make([]uint64, 1<<bits), bits
+		for slot := 0; slot < s.n; slot++ {
+			s.place(int(s.at(slot).w.Origin), slot)
+		}
+	}
+	if s.n == len(s.blocks)*blockCells {
+		s.blocks = append(s.blocks, new([blockCells]cell))
+	}
+	slot := s.n
+	s.n++
+	s.place(origin, slot)
+	c := s.at(slot)
+	*c = cell{w: gossipEntryWire{Origin: int32(origin)}, ageEst: -1}
+	return c
+}
+
+// del removes origin's cell, if held: the last cell moves into the freed
+// slot and the index entry is deleted by backward shift.
+func (s *cellStore) del(origin int) {
+	i, ok := s.lookup(origin)
+	if !ok {
+		return
+	}
+	slot := int(uint32(s.index[i]))
+	s.unindex(i)
+	s.n--
+	if slot != s.n {
+		moved := s.at(s.n)
+		*s.at(slot) = *moved
+		j, _ := s.lookup(int(moved.w.Origin))
+		s.index[j] = indexKey(int(moved.w.Origin)) | uint64(slot)
+	}
+}
+
+// unindex empties index position i by backward shift: each later entry of
+// the probe run moves back into the hole unless its home lies cyclically
+// in (hole, entry], so every lookup still reaches its origin without
+// crossing an empty entry and no tombstones accumulate.
+func (s *cellStore) unindex(i int) {
+	mask := len(s.index) - 1
+	for j := i; ; {
+		j = (j + 1) & mask
+		e := s.index[j]
+		if e == 0 {
+			s.index[i] = 0
+			return
+		}
+		h := homeAt(uint32(e>>32)-1, s.bits)
+		if (i < j && (h <= i || h > j)) || (i > j && h <= i && h > j) {
+			s.index[i] = e
+			i = j
+		}
+	}
 }
 
 // sweepFloor is the minimum heard-set size before expiry sweeps trigger.
@@ -199,7 +351,7 @@ type Gossip struct {
 	// the ring newest-first with O(1) dedup. sweepAt is the heard-set size
 	// that triggers the next amortised expiry sweep.
 	self    GossipEntry
-	cells   map[int]*cell
+	cells   cellStore
 	ring    []int32
 	ringN   int64
 	sweepAt int
@@ -234,7 +386,6 @@ func NewGossip(cfg GossipConfig, node *cluster.Node, id, n int, nominalBw float6
 		n:           n,
 		send:        send,
 		rng:         prng.New(seed),
-		cells:       make(map[int]*cell),
 		ring:        make([]int32, ringCap),
 		sweepAt:     sweepFloor,
 		nominalBw:   nominalBw,
@@ -280,10 +431,14 @@ func (g *Gossip) schedDelay() simtime.Duration {
 	return simtime.Duration(float64(g.cfg.SchedDelay) * j)
 }
 
-// expired reports whether a stamp has aged out under MaxAge (negative
-// MaxAge: never).
-func (g *Gossip) expired(stamp, now simtime.Time) bool {
-	return g.cfg.MaxAge > 0 && now.Sub(stamp) > g.cfg.MaxAge
+// liveFrom is the oldest stamp still live at now: an entry expires once it
+// is more than MaxAge old (negative MaxAge: never), so a walk computes the
+// bound once and each freshness check is one compare.
+func (g *Gossip) liveFrom(now simtime.Time) simtime.Time {
+	if g.cfg.MaxAge <= 0 {
+		return math.MinInt64
+	}
+	return now - simtime.Time(g.cfg.MaxAge)
 }
 
 // compose re-probes the daemon's own sample and assembles the bounded
@@ -293,17 +448,20 @@ func (g *Gossip) expired(stamp, now simtime.Time) bool {
 // skipped; expired cells encountered on the walk are reclaimed. The slice
 // is allocated per call because it escapes into the in-flight message.
 func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
+	var s LoadSample
 	if g.probe != nil {
-		g.self = GossipEntry{Sample: g.probe(), Stamp: now, Known: true}
-	} else {
-		g.self = GossipEntry{Stamp: now, Known: true}
+		s = g.probe()
 	}
+	g.self = GossipEntry{Sample: s, Stamp: now, Known: true}
 	max := g.cfg.WindowLen
-	if m := len(g.cells) + 1; m < max {
+	if m := g.cells.n + 1; m < max {
 		max = m
 	}
 	out := make([]gossipEntryWire, 0, max)
-	out = append(out, gossipEntryWire{Origin: g.id, Entry: g.self})
+	out = append(out, gossipEntryWire{
+		Origin: int32(g.id), Queue: int32(s.Queue), Load: s.Load, UsedMemMB: s.UsedMemMB, Stamp: now,
+	})
+	live := g.liveFrom(now)
 	span := int64(len(g.ring))
 	if g.ringN < span {
 		span = g.ringN
@@ -311,15 +469,15 @@ func (g *Gossip) compose(now simtime.Time) []gossipEntryWire {
 	for k := int64(1); k <= span && len(out) < g.cfg.WindowLen; k++ {
 		pos := g.ringN - k
 		o := int(g.ring[pos%int64(len(g.ring))])
-		c, ok := g.cells[o]
-		if !ok || c.ringPos != pos {
+		c := g.cells.get(o)
+		if c == nil || c.ringPos != pos {
 			continue // origin refreshed since (a newer slot covers it) or reclaimed
 		}
-		if g.expired(c.entry.Stamp, now) {
-			delete(g.cells, o)
+		if c.w.Stamp < live {
+			g.cells.del(o)
 			continue
 		}
-		out = append(out, gossipEntryWire{Origin: o, Entry: c.entry})
+		out = append(out, c.w)
 	}
 	return out
 }
@@ -418,29 +576,25 @@ func (g *Gossip) servePull(dst int) {
 // resurrected.
 func (g *Gossip) merge(m gossipMsg) {
 	now := g.eng.Now()
-	for _, w := range m.Entries {
-		o := w.Origin
-		if o == g.id || o < 0 || o >= g.n || !w.Entry.Known {
+	live := g.liveFrom(now)
+	for i := range m.Entries {
+		w := &m.Entries[i]
+		o := int(w.Origin)
+		if o == g.id || o < 0 || o >= g.n || w.Stamp < live {
 			continue
 		}
-		if g.expired(w.Entry.Stamp, now) {
+		c := g.cells.get(o)
+		if c == nil {
+			c = g.cells.add(o)
+		} else if w.Stamp <= c.w.Stamp {
 			continue
 		}
-		c, ok := g.cells[o]
-		if ok && w.Entry.Stamp <= c.entry.Stamp {
-			continue
-		}
-		if !ok {
-			c = &cell{}
-			g.cells[o] = c
-		}
-		e := w.Entry
-		e.Hops++
-		c.entry = e
+		c.w = *w
+		c.w.Hops++
 		c.ringPos = g.ringN
-		g.ring[g.ringN%int64(len(g.ring))] = int32(o)
+		g.ring[g.ringN%int64(len(g.ring))] = w.Origin
 		g.ringN++
-		g.recordAge(c, now.Sub(e.Stamp))
+		g.recordAge(c, now.Sub(w.Stamp))
 	}
 	g.maybeSweep(now)
 }
@@ -449,18 +603,19 @@ func (g *Gossip) merge(m gossipMsg) {
 // threshold, then re-arms the threshold at twice the surviving size — an
 // amortised-O(1) bound that keeps a daemon's resident heard set within a
 // constant factor of the entries actually live under MaxAge. The expiry
-// set is a pure function of (cells, now), so the map-order iteration
-// cannot perturb determinism.
+// set is a pure function of (cells, now). The walk runs from the last slot
+// down, so each swap-removal only moves in a cell already checked.
 func (g *Gossip) maybeSweep(now simtime.Time) {
-	if g.cfg.MaxAge <= 0 || len(g.cells) < g.sweepAt {
+	if g.cfg.MaxAge <= 0 || g.cells.n < g.sweepAt {
 		return
 	}
-	for o, c := range g.cells {
-		if g.expired(c.entry.Stamp, now) {
-			delete(g.cells, o)
+	live := g.liveFrom(now)
+	for slot := g.cells.n - 1; slot >= 0; slot-- {
+		if c := g.cells.at(slot); c.w.Stamp < live {
+			g.cells.del(int(c.w.Origin))
 		}
 	}
-	g.sweepAt = 2 * len(g.cells)
+	g.sweepAt = 2 * g.cells.n
 	if g.sweepAt < sweepFloor {
 		g.sweepAt = sweepFloor
 	}
@@ -471,9 +626,8 @@ func (g *Gossip) recordAge(c *cell, age simtime.Duration) {
 	if age < 0 {
 		age = 0
 	}
-	if !c.haveAge {
+	if c.ageEst < 0 {
 		c.ageEst = age
-		c.haveAge = true
 		return
 	}
 	a := g.cfg.Alpha
@@ -487,11 +641,11 @@ func (g *Gossip) Entry(origin int) GossipEntry {
 	if origin == g.id {
 		return g.self
 	}
-	c, ok := g.cells[origin]
-	if !ok || g.expired(c.entry.Stamp, g.eng.Now()) {
+	c := g.cells.get(origin)
+	if c == nil || c.w.Stamp < g.liveFrom(g.eng.Now()) {
 		return GossipEntry{}
 	}
-	return c.entry
+	return c.w.entry()
 }
 
 // EntryAge returns how stale the origin's entry is right now (and whether
@@ -505,25 +659,25 @@ func (g *Gossip) EntryAge(origin int) (simtime.Duration, bool) {
 }
 
 // Fresh calls f for every live (non-expired) entry this daemon currently
-// holds, own entry excluded. Callback order is map order — unspecified —
-// so callers must apply f per origin without cross-origin dependence (the
-// incremental gossip view writes one row per callback, which is order-free).
+// holds, own entry excluded. Callback order is storage-slot order —
+// deterministic, but an artefact of insertions and removals — so callers
+// must apply f per origin without cross-origin dependence (the incremental
+// gossip view writes one row per callback, which is order-free).
 func (g *Gossip) Fresh(f func(origin int, e GossipEntry)) {
-	now := g.eng.Now()
-	for o, c := range g.cells {
-		if g.expired(c.entry.Stamp, now) {
-			continue
+	live := g.liveFrom(g.eng.Now())
+	for slot := 0; slot < g.cells.n; slot++ {
+		if c := g.cells.at(slot); c.w.Stamp >= live {
+			f(int(c.w.Origin), c.w.entry())
 		}
-		f(o, c.entry)
 	}
 }
 
 // KnownCount reports how many origins currently read as live entries.
 func (g *Gossip) KnownCount() int {
 	n := 0
-	now := g.eng.Now()
-	for _, c := range g.cells {
-		if !g.expired(c.entry.Stamp, now) {
+	live := g.liveFrom(g.eng.Now())
+	for slot := 0; slot < g.cells.n; slot++ {
+		if g.cells.at(slot).w.Stamp >= live {
 			n++
 		}
 	}
@@ -533,8 +687,8 @@ func (g *Gossip) KnownCount() int {
 // AgeRTT returns the staleness-derived round-trip estimate for origin
 // (2× the smoothed one-way dissemination delay), if any sample arrived.
 func (g *Gossip) AgeRTT(origin int) (simtime.Duration, bool) {
-	c, ok := g.cells[origin]
-	if !ok || !c.haveAge {
+	c := g.cells.get(origin)
+	if c == nil || c.ageEst < 0 {
 		return 0, false
 	}
 	return 2 * c.ageEst, true
@@ -543,12 +697,12 @@ func (g *Gossip) AgeRTT(origin int) (simtime.Duration, bool) {
 // MeanRTT is the mean staleness-derived round-trip estimate over every
 // origin heard from; with no samples yet it falls back to the freshly
 // joined daemon's prior (two scheduling delays). The sum is integer
-// arithmetic over per-origin estimates, so map order cannot perturb it.
+// arithmetic over per-origin estimates, so slot order cannot perturb it.
 func (g *Gossip) MeanRTT() simtime.Duration {
 	var sum simtime.Duration
 	n := 0
-	for _, c := range g.cells {
-		if c.haveAge {
+	for slot := 0; slot < g.cells.n; slot++ {
+		if c := g.cells.at(slot); c.ageEst >= 0 {
 			sum += 2 * c.ageEst
 			n++
 		}
