@@ -11,9 +11,12 @@
 // Every benchmark result line ("BenchmarkName  N  value unit  value unit
 // ...") becomes one JSON record carrying the iteration count, ns/op, and
 // every custom metric (events/sim-s, migrations, B/op, allocs/op) under
-// its reported unit. Non-benchmark lines (goos/pkg/PASS headers) pass
-// through silently; a log with no benchmark lines is an error, so a CI
-// wiring mistake cannot publish an empty artefact.
+// its reported unit. The host is recorded at the top level: the `cpu:`
+// header line as cpu, and the GOMAXPROCS the names' "-N" suffix carried
+// (no suffix means 1) as gomaxprocs — omitted when the lines disagree.
+// Other non-benchmark lines (goos/pkg/PASS) pass through silently; a log
+// with no benchmark lines is an error, so a CI wiring mistake cannot
+// publish an empty artefact.
 package main
 
 import (
@@ -39,45 +42,55 @@ type result struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// document is the artefact shape: results sorted by benchmark name under
-// a version gate, like the scenario report artefacts — stable however the
-// bench regexp ordered the runs.
+// document is the artefact shape: the host the log was taken on, then
+// results sorted by benchmark name under a version gate, like the
+// scenario report artefacts — stable however the bench regexp ordered the
+// runs.
 type document struct {
 	Version    int      `json:"version"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
 // Version is the artefact format version.
 const Version = 1
 
-// gomaxprocsSuffix strips the "-8"-style GOMAXPROCS suffix go test appends
-// to benchmark names, so artefacts compare across machines.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// gomaxprocsSuffix matches the "-8"-style GOMAXPROCS suffix go test
+// appends to benchmark names (for GOMAXPROCS above 1); it is stripped so
+// artefacts compare across machines, and kept as the document's
+// gomaxprocs.
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
-// parseLine decodes one benchmark result line, reporting ok=false for
-// non-benchmark lines.
-func parseLine(line string) (result, bool, error) {
+// parseLine decodes one benchmark result line and the GOMAXPROCS its name
+// carried, reporting ok=false for non-benchmark lines.
+func parseLine(line string) (r result, procs int, ok bool, err error) {
 	if !strings.HasPrefix(line, "Benchmark") {
-		return result{}, false, nil
+		return result{}, 0, false, nil
 	}
 	fields := strings.Fields(line)
 	// Name, iterations, then (value, unit) pairs.
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return result{}, false, fmt.Errorf("malformed benchmark line %q", line)
+		return result{}, 0, false, fmt.Errorf("malformed benchmark line %q", line)
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return result{}, false, fmt.Errorf("benchmark line %q: bad iteration count: %v", line, err)
+		return result{}, 0, false, fmt.Errorf("benchmark line %q: bad iteration count: %v", line, err)
 	}
-	r := result{
-		Name:       gomaxprocsSuffix.ReplaceAllString(fields[0], ""),
+	r = result{
+		Name:       fields[0],
 		Iterations: iters,
 		Metrics:    map[string]float64{},
+	}
+	procs = 1
+	if m := gomaxprocsSuffix.FindStringSubmatchIndex(r.Name); m != nil {
+		procs, _ = strconv.Atoi(r.Name[m[2]:m[3]]) // the pattern admits only digits
+		r.Name = r.Name[:m[0]]
 	}
 	for i := 2; i < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return result{}, false, fmt.Errorf("benchmark line %q: bad value %q: %v", line, fields[i], err)
+			return result{}, 0, false, fmt.Errorf("benchmark line %q: bad value %q: %v", line, fields[i], err)
 		}
 		if fields[i+1] == "ns/op" {
 			r.NsPerOp = v
@@ -88,7 +101,7 @@ func parseLine(line string) (result, bool, error) {
 	if len(r.Metrics) == 0 {
 		r.Metrics = nil
 	}
-	return r, true, nil
+	return r, procs, true, nil
 }
 
 // convert parses a full benchmark log into the artefact encoding.
@@ -97,14 +110,28 @@ func convert(in io.Reader) ([]byte, error) {
 	doc.Version = Version
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	mixedProcs := false
 	for sc.Scan() {
-		r, ok, err := parseLine(sc.Text())
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok && doc.CPU == "" {
+			doc.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		r, procs, ok, err := parseLine(line)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			doc.Benchmarks = append(doc.Benchmarks, r)
+		if !ok {
+			continue
 		}
+		if len(doc.Benchmarks) > 0 && procs != doc.GOMAXPROCS {
+			mixedProcs = true
+		}
+		doc.GOMAXPROCS = procs
+		doc.Benchmarks = append(doc.Benchmarks, r)
+	}
+	if mixedProcs {
+		doc.GOMAXPROCS = 0
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -35,7 +35,9 @@ func writeSample(t *testing.T) string {
 func TestSmokeConvert(t *testing.T) {
 	out := clitest.Run(t, "-i", writeSample(t))
 	var doc struct {
-		Version    int `json:"version"`
+		Version    int    `json:"version"`
+		GOMAXPROCS *int   `json:"gomaxprocs"`
+		CPU        string `json:"cpu"`
 		Benchmarks []struct {
 			Name       string             `json:"name"`
 			Iterations int64              `json:"iterations"`
@@ -62,6 +64,48 @@ func TestSmokeConvert(t *testing.T) {
 	}
 	if _, hasNs := b512.Metrics["ns/op"]; hasNs {
 		t.Fatal("ns/op leaked into the metrics map")
+	}
+	if doc.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Fatalf("cpu %q, want the log's cpu: header", doc.CPU)
+	}
+	// One line ran at GOMAXPROCS 1 (no suffix), the other at 8: no single
+	// value describes the log, so the field is left out.
+	if doc.GOMAXPROCS != nil {
+		t.Fatalf("mixed-GOMAXPROCS log recorded gomaxprocs %d", *doc.GOMAXPROCS)
+	}
+}
+
+// TestHostFields locks the host record: the GOMAXPROCS suffix every line
+// shares becomes the top-level gomaxprocs (a suffix-less log ran at 1),
+// the cpu: header becomes cpu, and a log without a cpu: header omits it.
+func TestHostFields(t *testing.T) {
+	cases := []struct {
+		name, log string
+		procs     int
+		cpu       string
+	}{
+		{"suffixed", "cpu: AMD EPYC 7B13\nBenchmarkA-2 \t1\t10 ns/op\nBenchmarkB-2 \t1\t20 ns/op\nPASS\n", 2, "AMD EPYC 7B13"},
+		{"single-proc", "BenchmarkA \t1\t10 ns/op\n", 1, ""},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "bench.txt")
+		if err := os.WriteFile(path, []byte(c.log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := clitest.Run(t, "-i", path)
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(out), &doc); err != nil {
+			t.Fatalf("%s: output is not JSON: %v\n%s", c.name, err, out)
+		}
+		if got := doc["gomaxprocs"]; got != float64(c.procs) {
+			t.Fatalf("%s: gomaxprocs %v, want %d", c.name, got, c.procs)
+		}
+		if got, has := doc["cpu"]; (c.cpu == "") == has || (has && got != c.cpu) {
+			t.Fatalf("%s: cpu %v (present %v), want %q", c.name, got, has, c.cpu)
+		}
+		if doc["version"] != float64(1) {
+			t.Fatalf("%s: version %v, want 1", c.name, doc["version"])
+		}
 	}
 }
 
