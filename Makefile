@@ -1,7 +1,9 @@
 # Developer/CI entry points. `make ci` is the gate: formatting, vet, build,
 # the full test suite, the race detector over the concurrent campaign
-# engine, the binary smoke tests, the campaign-service smoke (HTTP
-# submit, dedup and store-hit paths), a short fuzz pass over the AMPoM
+# engine, a repeated multi-GOMAXPROCS stress pass over the campaign
+# engine's one batch dispatcher (skip-on-cancel and failure aggregation
+# for both job kinds), the binary smoke tests, the campaign-service smoke
+# (HTTP submit, dedup and store-hit paths), a short fuzz pass over the AMPoM
 # prefetcher, the trace combinators and the scenario spec codec, one
 # bench-balance iteration so policy-dispatch overhead is tracked, and one
 # bench-fabric iteration asserting the 512-, 4096- and 16384-node
@@ -10,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
 
-ci: fmt-check vet build test race examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench-balance bench-fabric
+ci: fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench-balance bench-fabric
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -31,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Migration-experiment batches (RunAll) and scenario batches
+# (RunScenarios) share one dispatcher; hammer its cancellation and
+# failure-aggregation contracts 20 times at 1, 2 and 4 Ps, so a
+# scheduling-dependent race shows up here rather than as a rare flake.
+campaign-stress:
+	$(GO) test -count=20 -cpu 1,2,4 -run '^(TestFanOutCtxDoneNeverDispatches|TestRunScenariosCtxCancelled|TestBatchFailureAggregation)$$' ./internal/campaign
 
 # Every binary under cmd/ and examples/ is built and run with a tiny
 # configuration through its package's smoke tests.

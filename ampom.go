@@ -125,7 +125,7 @@ type (
 	// CampaignProgress is one progress/ETA sample of a running batch.
 	CampaignProgress = campaign.Progress
 	// CampaignRunError aggregates the failures of a campaign batch.
-	CampaignRunError = campaign.RunError
+	CampaignRunError = campaign.RunError[campaign.Job]
 	// CampaignScenarioProgress is one per-policy progress sample of an
 	// executing scenario job (CampaignOptions.OnScenarioProgress).
 	CampaignScenarioProgress = campaign.ScenarioProgress
@@ -401,31 +401,18 @@ func DecodeScenarioReports(data []byte) ([]*ScenarioReport, error) {
 // LoadScenarioReports reads a saved report artefact from disk.
 func LoadScenarioReports(path string) ([]*ScenarioReport, error) { return scenario.LoadReports(path) }
 
-// DiffScenarioReports compares two report artefacts and returns one line
-// per divergence; empty means the recorded runs are identical. Saved
-// artefacts thereby become regression gates (ampom-cluster -diff).
-func DiffScenarioReports(a, b []byte) ([]string, error) { return scenario.DiffReportsData(a, b) }
-
-// DiffScenarioReportFiles compares two saved report artefacts by path.
-func DiffScenarioReportFiles(pathA, pathB string) ([]string, error) {
-	return scenario.DiffReportFiles(pathA, pathB)
-}
-
 // ScenarioDiffOptions tunes report comparison: per-column relative
 // epsilons for the float columns (counts always compare exactly) and the
 // per-column summary mode. The zero value is the exact gate.
 type ScenarioDiffOptions = scenario.DiffOptions
 
-// DiffScenarioReportsOpts compares two report artefacts under explicit
-// comparison options.
-func DiffScenarioReportsOpts(a, b []byte, opts ScenarioDiffOptions) ([]string, error) {
-	return scenario.DiffReportsDataOpts(a, b, opts)
-}
-
-// DiffScenarioReportFilesOpts compares two saved report artefacts by path
-// under explicit comparison options.
-func DiffScenarioReportFilesOpts(pathA, pathB string, opts ScenarioDiffOptions) ([]string, error) {
-	return scenario.DiffReportFilesOpts(pathA, pathB, opts)
+// DiffScenarioReports compares two report artefacts under opts and returns
+// one line per divergence; empty means the recorded runs gate as equal.
+// Saved artefacts thereby become regression gates (ampom-cluster -diff).
+// Options naming a column that is not a per-policy float column, or
+// carrying a negative or NaN epsilon, are rejected (opts.Validate).
+func DiffScenarioReports(a, b []byte, opts ScenarioDiffOptions) ([]string, error) {
+	return scenario.DiffReports(a, b, opts)
 }
 
 // LiveProgramFor drains the scenario mix's page-reference trace into a live

@@ -217,7 +217,7 @@ func TestFacadeFabric(t *testing.T) {
 	if len(back) != 1 || back[0].Seed != rep.Seed {
 		t.Fatalf("report decode round trip lost the run: %+v", back)
 	}
-	diffs, err := DiffScenarioReports(js, js)
+	diffs, err := DiffScenarioReports(js, js, ScenarioDiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFacadeFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs, err = DiffScenarioReports(js, oj)
+	diffs, err = DiffScenarioReports(js, oj, ScenarioDiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

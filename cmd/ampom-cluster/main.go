@@ -36,7 +36,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -207,7 +206,7 @@ func main() {
 		// aggregated failures go to stderr and the exit code reports them
 		// (the ampom-bench convention).
 		var err error
-		reports, err = eng.RunScenariosCtx(ctx, batch)
+		reports, err = eng.RunScenarios(ctx, batch)
 		if err != nil {
 			cli.Errorf("%v", err)
 			exitCode = cli.CodeFail
@@ -333,7 +332,7 @@ func parseDiffEps(s string) map[string]float64 {
 			col, val = part[:i], part[i+1:]
 		}
 		eps, err := strconv.ParseFloat(val, 64)
-		if err != nil || eps < 0 || math.IsNaN(eps) {
+		if err != nil {
 			cli.Usage("-diff-eps %s: %q is not a non-negative epsilon", s, val)
 		}
 		out[col] = eps
@@ -343,11 +342,20 @@ func parseDiffEps(s string) map[string]float64 {
 
 // diffReports compares two saved report artefacts and exits 1 when the
 // recorded runs diverge under the options — the regression-gate mode.
+// Options the comparison could never apply are usage errors, reported
+// before either file is read.
 func diffReports(args []string, opts ampom.ScenarioDiffOptions) {
+	if err := opts.Validate(); err != nil {
+		cli.Usage("-diff-eps: %v", err)
+	}
 	if len(args) != 2 {
 		cli.Usage("-diff needs exactly two report files, have %d", len(args))
 	}
-	diffs, err := ampom.DiffScenarioReportFilesOpts(args[0], args[1], opts)
+	a, err := os.ReadFile(args[0])
+	cli.Check(err)
+	b, err := os.ReadFile(args[1])
+	cli.Check(err)
+	diffs, err := ampom.DiffScenarioReports(a, b, opts)
 	cli.Check(err)
 	if len(diffs) == 0 {
 		if len(opts.RelEps) > 0 {

@@ -270,8 +270,8 @@ func TestDiffReports(t *testing.T) {
 // TestDiffTolerance locks the -diff-eps / -summary modes: a generous
 // relative epsilon lets the float columns of two different-seed runs gate
 // as equal only when counts also agree, a per-column epsilon loosens just
-// its column, count divergences are never masked, and -summary renders one
-// line per diverging column.
+// its column, count divergences are never masked, -summary renders one
+// line per diverging column, and epsilons that cannot apply are rejected.
 func TestDiffTolerance(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.json")
@@ -348,6 +348,15 @@ func TestDiffTolerance(t *testing.T) {
 	}
 	if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-diff", "-diff-eps", "bogus", a, b); !strings.Contains(stderr, "not a non-negative epsilon") {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+	// Epsilons the gate could never apply — a misspelt column, a count
+	// column, a negative value — are usage errors too, raised before any
+	// file is read (the second path does not exist).
+	missing := filepath.Join(dir, "missing.json")
+	for _, eps := range []string{"mean_slowdwn=0.02", "migrations=0.5", "mean_slowdwn=0.02,migrations=0.5", "-0.5"} {
+		if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-diff", "-diff-eps", eps, a, missing); !strings.Contains(stderr, "-diff-eps") {
+			t.Fatalf("-diff-eps %s: unexpected stderr:\n%s", eps, stderr)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ampom/internal/core"
@@ -191,9 +192,7 @@ type Engine struct {
 	runs      flight[*migrate.Result]
 	scenarios flight[*scenario.Report]
 
-	statMu   sync.Mutex
-	executed int
-	requests int
+	executed, requests atomic.Int64
 
 	now func() time.Time // test hook
 }
@@ -293,18 +292,10 @@ func (e *Engine) BaseSeed() uint64 { return e.opts.BaseSeed }
 
 // Executed returns how many jobs the engine actually simulated (cache
 // misses). Requests returns how many Run calls it served in total.
-func (e *Engine) Executed() int {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.executed
-}
+func (e *Engine) Executed() int { return int(e.executed.Load()) }
 
 // Requests returns the total number of Run calls served (hits + misses).
-func (e *Engine) Requests() int {
-	e.statMu.Lock()
-	defer e.statMu.Unlock()
-	return e.requests
-}
+func (e *Engine) Requests() int { return int(e.requests.Load()) }
 
 // SeedFor returns the PRNG seed a job's workload is built and run with —
 // the derivation the engine itself uses, exposed so out-of-band analyses
@@ -317,19 +308,21 @@ func (e *Engine) SeedFor(j Job) uint64 {
 // Run executes one job, memoised: concurrent calls with the same
 // fingerprint run the simulation once and share the result.
 func (e *Engine) Run(job Job) (*migrate.Result, error) {
-	e.statMu.Lock()
-	e.requests++
-	e.statMu.Unlock()
-
-	res, err, executed := e.runs.do(job.Fingerprint(),
+	return memo(e, &e.runs, job.Fingerprint(),
 		func(r any) error { return fmt.Errorf("campaign: %v: panic during simulation: %v", job, r) },
 		func() (*migrate.Result, error) { return e.execute(job.normalised()) })
+}
+
+// memo serves key through the single-flight cache f and keeps the engine's
+// request and execution counters: every call is a request, and the call
+// that did the computing is an execution.
+func memo[T any](e *Engine, f *flight[T], key string, wrapPanic func(r any) error, compute func() (T, error)) (T, error) {
+	e.requests.Add(1)
+	val, err, executed := f.do(key, wrapPanic, compute)
 	if executed {
-		e.statMu.Lock()
-		e.executed++
-		e.statMu.Unlock()
+		e.executed.Add(1)
 	}
-	return res, err
+	return val, err
 }
 
 // execute simulates one job with its derived seed.
@@ -362,18 +355,14 @@ func (e *Engine) execute(j Job) (*migrate.Result, error) {
 	return r, nil
 }
 
-// fanOut distributes n indexed tasks across the engine's worker pool and
-// waits for all of them. Both job batches (RunAll) and scenario batches
-// (RunScenarios) go through here, so they share one pool bound.
-func (e *Engine) fanOut(n int, run func(i int)) {
-	e.fanOutCtx(context.Background(), n, run, nil)
-}
-
-// fanOutCtx is fanOut under cooperative cancellation: once ctx is done no
-// further index is dispatched — tasks already running finish normally (a
-// simulation is never torn mid-run) and every undispatched index is
-// reported to skip instead. This is the graceful-drain primitive the
-// SIGINT/SIGTERM handling of the batch CLIs and the daemon build on.
+// fanOutCtx distributes n indexed tasks across the engine's worker pool
+// and waits for all of them. Both job batches (RunAll) and scenario
+// batches (RunScenarios) go through here, so they share one pool bound.
+// Once ctx is done no further index is dispatched — tasks already running
+// finish normally (a simulation is never torn mid-run) and every
+// undispatched index is reported to skip instead. This is the
+// graceful-drain primitive the SIGINT/SIGTERM handling of the batch CLIs
+// and the daemon build on.
 func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip func(i int)) {
 	workers := e.workers
 	if workers > n {
@@ -404,10 +393,8 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 			case <-ctx.Done():
 			}
 		}
-		if skip != nil {
-			for j := i; j < n; j++ {
-				skip(j)
-			}
+		for j := i; j < n; j++ {
+			skip(j)
 		}
 		break
 	}
@@ -415,27 +402,28 @@ func (e *Engine) fanOutCtx(ctx context.Context, n int, run func(i int), skip fun
 	wg.Wait()
 }
 
-// JobError ties a failed job to its error.
-type JobError struct {
-	Job Job
+// JobError ties a failed job of a batch — a Job or a ScenarioJob — to its
+// error.
+type JobError[J any] struct {
+	Job J
 	Err error
 }
 
-func (e JobError) Error() string { return fmt.Sprintf("%v: %v", e.Job, e.Err) }
+func (e JobError[J]) Error() string { return fmt.Sprintf("%v: %v", e.Job, e.Err) }
 
 // Unwrap exposes the underlying error to errors.Is/As.
-func (e JobError) Unwrap() error { return e.Err }
+func (e JobError[J]) Unwrap() error { return e.Err }
 
 // RunError aggregates every failure of a campaign batch. The batch's healthy
 // jobs still complete and return results — a broken ablation cell no longer
 // takes the whole figure regeneration down with it.
-type RunError struct {
+type RunError[J any] struct {
 	// Total is the batch size the failures came from.
 	Total    int
-	Failures []JobError
+	Failures []JobError[J]
 }
 
-func (e *RunError) Error() string {
+func (e *RunError[J]) Error() string {
 	if len(e.Failures) == 0 {
 		return "campaign: no failures"
 	}
@@ -451,48 +439,27 @@ func (e *RunError) Error() string {
 	return b.String()
 }
 
-// RunAll executes a batch of jobs across the worker pool and returns one
-// result per job, in input order. Duplicate or already-cached jobs are
-// served from the cache. Failures are aggregated into a *RunError (sorted
-// by job fingerprint for determinism); the corresponding result slots are
-// nil and every other job still runs to completion.
-func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
-	results := make([]*migrate.Result, len(jobs))
+// runBatch is the one batch path: it fans jobs across the worker pool
+// under ctx, runs each through run and returns one result per job, in
+// input order. done, when set, is called after each dispatched job
+// completes. Once ctx is done the undispatched jobs fail with its error.
+// Failures are aggregated into a *RunError[J] — one entry per failing
+// fingerprint, sorted by fingerprint for determinism; the corresponding
+// result slots are zero and every other job still runs to completion.
+func runBatch[J interface{ Fingerprint() string }, R any](e *Engine, ctx context.Context, jobs []J,
+	run func(J) (R, error), done func(i int, err error)) ([]R, error) {
+	results := make([]R, len(jobs))
 	errs := make([]error, len(jobs))
-
-	start := e.now()
-	var (
-		progMu sync.Mutex
-		done   int
-		failed int
-	)
-	report := func(i int) {
-		if e.opts.OnProgress == nil {
-			return
+	e.fanOutCtx(ctx, len(jobs), func(i int) {
+		results[i], errs[i] = run(jobs[i])
+		if done != nil {
+			done(i, errs[i])
 		}
-		progMu.Lock()
-		done++
-		if errs[i] != nil {
-			failed++
-		}
-		elapsed := e.now().Sub(start)
-		var eta time.Duration
-		if done > 0 && done < len(jobs) {
-			eta = time.Duration(float64(elapsed) / float64(done) * float64(len(jobs)-done))
-		}
-		e.opts.OnProgress(Progress{
-			Done: done, Failed: failed, Total: len(jobs),
-			Elapsed: elapsed, ETA: eta, Job: jobs[i],
-		})
-		progMu.Unlock()
-	}
-
-	e.fanOut(len(jobs), func(i int) {
-		results[i], errs[i] = e.Run(jobs[i])
-		report(i)
+	}, func(i int) {
+		errs[i] = fmt.Errorf("campaign: skipped: %w", ctx.Err())
 	})
 
-	var failures []JobError
+	var failures []JobError[J]
 	seen := make(map[string]bool)
 	for i, err := range errs {
 		if err == nil {
@@ -503,7 +470,7 @@ func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
 			continue
 		}
 		seen[fp] = true
-		failures = append(failures, JobError{Job: jobs[i], Err: err})
+		failures = append(failures, JobError[J]{Job: jobs[i], Err: err})
 	}
 	if len(failures) == 0 {
 		return results, nil
@@ -511,7 +478,41 @@ func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
 	sort.Slice(failures, func(i, j int) bool {
 		return failures[i].Job.Fingerprint() < failures[j].Job.Fingerprint()
 	})
-	return results, &RunError{Total: len(jobs), Failures: failures}
+	return results, &RunError[J]{Total: len(jobs), Failures: failures}
+}
+
+// RunAll executes a batch of jobs across the worker pool and returns one
+// result per job, in input order. Duplicate or already-cached jobs are
+// served from the cache. Failures are aggregated into a *RunError[Job];
+// the corresponding result slots are nil and every other job still runs
+// to completion.
+func (e *Engine) RunAll(jobs []Job) ([]*migrate.Result, error) {
+	var report func(i int, err error)
+	if cb := e.opts.OnProgress; cb != nil {
+		start := e.now()
+		var (
+			mu           sync.Mutex
+			done, failed int
+		)
+		report = func(i int, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			if err != nil {
+				failed++
+			}
+			elapsed := e.now().Sub(start)
+			var eta time.Duration
+			if done < len(jobs) {
+				eta = time.Duration(float64(elapsed) / float64(done) * float64(len(jobs)-done))
+			}
+			cb(Progress{
+				Done: done, Failed: failed, Total: len(jobs),
+				Elapsed: elapsed, ETA: eta, Job: jobs[i],
+			})
+		}
+	}
+	return runBatch(e, context.Background(), jobs, e.Run, report)
 }
 
 // Dedupe returns jobs with duplicate fingerprints removed, preserving first

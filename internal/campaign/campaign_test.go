@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"ampom/internal/hpcc"
 	"ampom/internal/migrate"
 	"ampom/internal/netmodel"
+	"ampom/internal/scenario"
 )
 
 func job(k hpcc.Kernel, mb int64, s migrate.Scheme) Job {
@@ -235,9 +239,9 @@ func TestRunAllAggregatesErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("want aggregated error")
 	}
-	var re *RunError
+	var re *RunError[Job]
 	if !errors.As(err, &re) {
-		t.Fatalf("error type %T, want *RunError", err)
+		t.Fatalf("error type %T, want *RunError[Job]", err)
 	}
 	if len(re.Failures) != 2 || re.Total != len(jobs) {
 		t.Fatalf("failures=%d total=%d, want 2/%d: %v", len(re.Failures), re.Total, len(jobs), err)
@@ -250,6 +254,84 @@ func TestRunAllAggregatesErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2/4") {
 		t.Fatalf("error summary %q lacks failure count", err)
+	}
+}
+
+// TestBatchFailureAggregation locks the shared batch path's failure
+// accounting for both job kinds: failing jobs that share a fingerprint
+// yield one Failures entry, Failures come back sorted by fingerprint
+// whatever the input order, Total is the batch size, and every healthy
+// slot holds a result while failed slots stay nil.
+func TestBatchFailureAggregation(t *testing.T) {
+	cases := []struct {
+		name  string
+		check func(t *testing.T, descending bool)
+	}{
+		{"Job", func(t *testing.T, descending bool) {
+			checkBatchAggregation(t, descending,
+				[]Job{job(hpcc.STREAM, 8, migrate.AMPoM), job(hpcc.FFT, 8, migrate.OpenMosix)},
+				[]Job{
+					{Kernel: hpcc.DGEMM, MemoryMB: 4, AllocMB: 2, Scheme: migrate.AMPoM}, // ws > alloc
+					{Kernel: hpcc.STREAM, MemoryMB: 0, Scheme: migrate.AMPoM},            // no footprint
+				},
+				func(e *Engine, jobs []Job) ([]*migrate.Result, error) { return e.RunAll(jobs) })
+		}},
+		{"ScenarioJob", func(t *testing.T, descending bool) {
+			checkBatchAggregation(t, descending,
+				[]ScenarioJob{testScenario("ok-a"), testScenario("ok-b")},
+				[]ScenarioJob{
+					{Spec: scenario.Spec{Name: "bad-a", Nodes: 4, Skew: 3}},
+					{Spec: scenario.Spec{Name: "bad-b", Nodes: 4, Skew: 3}},
+				},
+				func(e *Engine, jobs []ScenarioJob) ([]*scenario.Report, error) {
+					return e.RunScenarios(context.Background(), jobs)
+				})
+		}},
+	}
+	for _, tc := range cases {
+		for _, descending := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/descending=%v", tc.name, descending), func(t *testing.T) {
+				tc.check(t, descending)
+			})
+		}
+	}
+}
+
+// checkBatchAggregation submits healthy and bad jobs interleaved, every bad
+// job twice, with the bad jobs' first occurrences in ascending or
+// descending fingerprint order, and checks the aggregate error.
+func checkBatchAggregation[J interface{ Fingerprint() string }, R comparable](t *testing.T, descending bool,
+	healthy, bad []J, run func(*Engine, []J) ([]R, error)) {
+	t.Helper()
+	bad = append([]J(nil), bad...)
+	sort.Slice(bad, func(i, j int) bool { return (bad[i].Fingerprint() < bad[j].Fingerprint()) != descending })
+	var jobs []J
+	var failing []bool
+	for i, b := range bad {
+		jobs = append(jobs, b, healthy[i%len(healthy)], b)
+		failing = append(failing, true, false, true)
+	}
+	res, err := run(New(Options{Workers: 2, BaseSeed: 7}), jobs)
+	var re *RunError[J]
+	if !errors.As(err, &re) {
+		t.Fatalf("error %v is %T, want *RunError", err, err)
+	}
+	if re.Total != len(jobs) {
+		t.Fatalf("Total = %d, want the batch size %d", re.Total, len(jobs))
+	}
+	if len(re.Failures) != len(bad) {
+		t.Fatalf("%d failures for %d distinct failing fingerprints: %v", len(re.Failures), len(bad), err)
+	}
+	for i, f := range re.Failures {
+		if i > 0 && re.Failures[i-1].Job.Fingerprint() >= f.Job.Fingerprint() {
+			t.Fatalf("failures not strictly sorted by fingerprint: %v", err)
+		}
+	}
+	var zero R
+	for i, r := range res {
+		if failing[i] != (r == zero) {
+			t.Fatalf("slot %d: failing=%v but result nil=%v", i, failing[i], r == zero)
+		}
 	}
 }
 

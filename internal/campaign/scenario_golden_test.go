@@ -1,6 +1,7 @@
-package harness
+package campaign
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,24 +15,24 @@ import (
 // count, sequential vs parallel campaign execution included. `make ci` runs
 // this file under the race detector too.
 
-// renderScenarios runs every preset up to 128 nodes through one matrix and
-// concatenates the rendered reports. The 512-node rack-farm preset is
+// renderScenarios runs every preset up to 128 nodes as one engine batch
+// and concatenates the rendered reports. The 512-node rack-farm preset is
 // gated separately (a shrunk worker-identity test below, plus the
 // BenchmarkFabric512 event-budget gate in `make ci`) so this test stays
 // race-detector-sized.
 func renderScenarios(t *testing.T, workers int) string {
 	t.Helper()
-	m := NewMatrix(Config{Scale: 16, Seed: 7, Workers: workers})
-	var specs []scenario.Spec
+	e := New(Options{BaseSeed: 7, Workers: workers})
+	var jobs []ScenarioJob
 	for _, s := range scenario.Presets() {
 		if s.Nodes <= 128 {
-			specs = append(specs, s)
+			jobs = append(jobs, ScenarioJob{Spec: s})
 		}
 	}
-	if len(specs) < 5 {
-		t.Fatalf("only %d presets under 128 nodes — the preset catalogue shrank", len(specs))
+	if len(jobs) < 5 {
+		t.Fatalf("only %d presets under 128 nodes — the preset catalogue shrank", len(jobs))
 	}
-	reports, err := m.RunScenarios(specs)
+	reports, err := e.RunScenarios(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestScenarioGoldenAcceptancePreset(t *testing.T) {
 	if spec.Nodes != 64 || spec.Procs != 256 {
 		t.Fatalf("hpc-farm is %dn/%dp, want 64/256", spec.Nodes, spec.Procs)
 	}
-	a, err := NewMatrix(Config{Seed: 7, Workers: 4}).RunScenario(spec)
+	a, err := New(Options{BaseSeed: 7, Workers: 4}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	b, err := New(Options{BaseSeed: 7, Workers: 1}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestScenarioGoldenFivePolicyIO(t *testing.T) {
 	if len(spec.Policies) < 5 {
 		t.Fatalf("canonical policy set %v has fewer than 5 policies", spec.Policies)
 	}
-	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	a, err := New(Options{BaseSeed: 7, Workers: 1}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+	b, err := New(Options{BaseSeed: 7, Workers: 8}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestFabricGoldenAcrossWorkers(t *testing.T) {
 		if len(spec.Policies) != len(scenario.DefaultPolicies()) {
 			t.Fatalf("%s: spec runs %d policies, want the whole registry", topo, len(spec.Policies))
 		}
-		a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+		a, err := New(Options{BaseSeed: 7, Workers: 1}).RunScenario(ScenarioJob{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+		b, err := New(Options{BaseSeed: 7, Workers: 8}).RunScenario(ScenarioJob{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,11 +188,11 @@ func TestRackFarmShrunkAcrossWorkers(t *testing.T) {
 	}
 	spec.Nodes, spec.Procs, spec.NodeMemMB = 64, 256, 0
 	spec = spec.Canonical()
-	a, err := NewMatrix(Config{Seed: 7, Workers: 1}).RunScenario(spec)
+	a, err := New(Options{BaseSeed: 7, Workers: 1}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 7, Workers: 8}).RunScenario(spec)
+	b, err := New(Options{BaseSeed: 7, Workers: 8}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,37 +216,40 @@ func TestScenarioSeedChangesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewMatrix(Config{Seed: 7}).RunScenario(spec)
+	a, err := New(Options{BaseSeed: 7}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMatrix(Config{Seed: 8}).RunScenario(spec)
+	b, err := New(Options{BaseSeed: 8}).RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Render() == b.Render() {
-		t.Fatal("changing the matrix seed left the scenario report unchanged")
+		t.Fatal("changing the base seed left the scenario report unchanged")
 	}
 }
 
+// TestScenarioMemoisedInMatrix locks the scenario memo: a second request
+// for a cached scenario returns the same report and simulates nothing.
 func TestScenarioMemoisedInMatrix(t *testing.T) {
-	m := NewMatrix(Config{Seed: 7, Workers: 4})
+	e := New(Options{BaseSeed: 7, Workers: 4})
 	spec, err := scenario.Preset("mpi-ranks")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunScenario(spec); err != nil {
-		t.Fatal(err)
-	}
-	executed := m.Engine().Executed()
-	tab, err := m.PresetScenarioTable("mpi-ranks")
+	first, err := e.RunScenario(ScenarioJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(spec.Policies) {
-		t.Fatalf("scenario table has %d rows, want %d", len(tab.Rows), len(spec.Policies))
+	executed := e.Executed()
+	again, err := e.RunScenario(ScenarioJob{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Engine().Executed(); got != executed {
-		t.Fatalf("re-rendering a cached scenario executed %d extra simulations", got-executed)
+	if again != first {
+		t.Fatal("a cached scenario returned a different report")
+	}
+	if got := e.Executed(); got != executed {
+		t.Fatalf("re-requesting a cached scenario executed %d extra simulations", got-executed)
 	}
 }

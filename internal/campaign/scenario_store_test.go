@@ -134,13 +134,13 @@ func TestRunScenariosCtxCancelled(t *testing.T) {
 	cancel()
 	e := New(Options{Workers: 2, BaseSeed: 7})
 	jobs := []ScenarioJob{testScenario("c1"), testScenario("c2"), testScenario("c3")}
-	reports, err := e.RunScenariosCtx(ctx, jobs)
+	reports, err := e.RunScenarios(ctx, jobs)
 	if err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
-	re, ok := err.(*ScenarioRunError)
+	re, ok := err.(*RunError[ScenarioJob])
 	if !ok {
-		t.Fatalf("error is %T, want *ScenarioRunError", err)
+		t.Fatalf("error is %T, want *RunError[ScenarioJob]", err)
 	}
 	if len(re.Failures) != len(jobs) {
 		t.Fatalf("%d/%d jobs failed, want all skipped", len(re.Failures), len(jobs))

@@ -10,7 +10,7 @@ import (
 // SignalContext returns a context cancelled on the first SIGINT or
 // SIGTERM — the shared graceful-shutdown hook of the repository's
 // long-running binaries. The daemon drains on it (stop admitting, finish
-// running jobs); the batch CLIs pass it to RunScenariosCtx so an
+// running jobs); the batch CLIs pass it to the engine's RunScenarios so an
 // interrupted campaign stops dispatching but never tears a simulation
 // mid-run.
 //

@@ -329,8 +329,8 @@ func TestEventsStream(t *testing.T) {
 }
 
 // TestDiffEndpoint locks server-side report comparison: a key against
-// itself gates equal, different scenarios diverge, and the tolerance
-// knobs arrive intact.
+// itself gates equal, different scenarios diverge, the tolerance knobs
+// arrive intact, and epsilons that cannot apply are answered 400.
 func TestDiffEndpoint(t *testing.T) {
 	_, c, _ := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -368,6 +368,16 @@ func TestDiffEndpoint(t *testing.T) {
 	if summary.Equal || len(summary.Divergences) >= len(diff.Divergences) {
 		t.Fatalf("summary mode did not collapse the output: %d vs %d lines",
 			len(summary.Divergences), len(diff.Divergences))
+	}
+	// A float-column epsilon gates; one the comparison could never apply
+	// is a bad request.
+	if res, err := c.Diff(ctx, DiffRequest{A: a.Key, B: a.Key, Eps: map[string]float64{"mean_slowdown": 0.01}}); err != nil || !res.Equal {
+		t.Fatalf("float-column eps: %+v, %v", res, err)
+	}
+	for _, eps := range []map[string]float64{{"mean_slowdwn": 0.02}, {"migrations": 0.5}, {"frozen_s": -1}} {
+		if _, err := c.Diff(ctx, DiffRequest{A: a.Key, B: b.Key, Eps: eps}); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("diff with eps %v: %v, want 400", eps, err)
+		}
 	}
 }
 

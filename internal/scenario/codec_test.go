@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -177,7 +178,7 @@ func TestReportDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs, err := DiffReportsData(js, js2)
+	diffs, err := DiffReports(js, js2, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestReportDecodeAcceptsUnregisteredPolicies(t *testing.T) {
 		t.Fatal("spec with an unregistered policy accepted")
 	}
 	// And diffing artefacts with custom policies works too.
-	if diffs, err := DiffReportsData([]byte(doc), []byte(doc)); err != nil || len(diffs) != 0 {
+	if diffs, err := DiffReports([]byte(doc), []byte(doc), DiffOptions{}); err != nil || len(diffs) != 0 {
 		t.Fatalf("self-diff of a custom-policy artefact failed: %v %v", diffs, err)
 	}
 }
@@ -259,14 +260,14 @@ func TestDiffReportsFindsDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := DiffReportsData(aj, aj)
+	same, err := DiffReports(aj, aj, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(same) != 0 {
 		t.Fatalf("identical artefacts diverged:\n%s", strings.Join(same, "\n"))
 	}
-	diffs, err := DiffReportsData(aj, bj)
+	diffs, err := DiffReports(aj, bj, DiffOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +282,45 @@ func TestDiffReportsFindsDivergence(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("seed divergence not reported:\n%s", strings.Join(diffs, "\n"))
+	}
+}
+
+// TestDiffOptionsValidate locks the epsilon-key check: only the per-policy
+// float columns (and the "" default) take an epsilon, epsilons are
+// non-negative numbers, and DiffReports refuses options that fail it
+// rather than silently ignoring a column it can never apply.
+func TestDiffOptionsValidate(t *testing.T) {
+	for _, ok := range []map[string]float64{
+		nil,
+		{"": 0.01},
+		{"mean_slowdown": 0.02, "frozen_s": 0},
+		{"sojourn_p95_s": 0.01, "makespan_s": 1e9},
+	} {
+		if err := (DiffOptions{RelEps: ok}).Validate(); err != nil {
+			t.Fatalf("valid epsilons %v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []map[string]float64{
+		{"mean_slowdwn": 0.02},   // misspelt column
+		{"migrations": 0.5},      // count column: always exact
+		{"capacity_bps": 0.1},    // tier-row float: always exact
+		{"policy": 0.1},          // string column
+		{"mean_slowdown": -0.01}, // negative
+		{"": math.NaN()},         // NaN default
+		{"frozen_s": math.NaN()}, // NaN column
+		{"": 0.01, "seed": 0.01}, // report-level field
+		{"sojourn_p95_s": 0.01, "crashes": 1},
+	} {
+		if err := (DiffOptions{RelEps: bad}).Validate(); err == nil {
+			t.Fatalf("invalid epsilons %v accepted", bad)
+		}
+	}
+	js, err := MustRun(small(), 7).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DiffReports(js, js, DiffOptions{RelEps: map[string]float64{"migrations": 0.5}}); err == nil {
+		t.Fatal("DiffReports accepted an epsilon on a count column")
 	}
 }
 

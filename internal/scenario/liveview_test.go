@@ -40,7 +40,8 @@ func rebuildAggregates(c *clusterSim) (live, runnable []int, mem []int64, lists,
 }
 
 // rebuildRows recomputes the NodeView rows and the descending-load source
-// order exactly as the pre-incremental view() + NodesByLoad() pair did.
+// order (stable, so ascending index on ties) from scratch — the reference
+// the incrementally maintained rows and order are checked against.
 func rebuildRows(c *clusterSim) ([]sched.NodeView, []int) {
 	n := c.spec.Nodes
 	rows := make([]sched.NodeView, n)

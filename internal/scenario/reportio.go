@@ -18,9 +18,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 
 	"ampom/internal/fabric"
@@ -166,6 +168,38 @@ type DiffOptions struct {
 	Summary bool
 }
 
+// Validate rejects options the comparison could never apply: a RelEps key
+// other than "" that is not a float64 column of the per-policy row (a
+// misspelt column, or a count, which always compares exactly), and a
+// negative or NaN epsilon. Keys are checked in sorted order, so the error
+// names the same offender on every run.
+func (o DiffOptions) Validate() error {
+	for _, col := range slices.Sorted(maps.Keys(o.RelEps)) {
+		eps := o.RelEps[col]
+		if col != "" && !floatColumns[col] {
+			return fmt.Errorf("scenario: diff epsilon for %q: not a per-policy float column", col)
+		}
+		if eps < 0 || math.IsNaN(eps) {
+			return fmt.Errorf("scenario: diff epsilon for %q: %v is not a non-negative number", col, eps)
+		}
+	}
+	return nil
+}
+
+// floatColumns is the set of per-policy row columns RelEps may name: the
+// float64 fields of schemeJSON by wire name, the same fields diffStructs
+// gates through the epsilons.
+var floatColumns = func() map[string]bool {
+	t := reflect.TypeOf(schemeJSON{})
+	cols := make(map[string]bool)
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type.Kind() == reflect.Float64 {
+			cols[jsonFieldName(t.Field(i))] = true
+		}
+	}
+	return cols
+}()
+
 // epsFor resolves the relative epsilon of one float column.
 func (o DiffOptions) epsFor(column string) float64 {
 	if e, ok := o.RelEps[column]; ok {
@@ -304,18 +338,15 @@ func diffDocs(idx int, a, b reportJSON, c *diffCollector) {
 	}
 }
 
-// DiffReportsData compares two report artefacts (each a JSON object or
-// array) exactly and returns one human-readable line per divergence —
-// empty means the recorded runs are identical.
-func DiffReportsData(a, b []byte) ([]string, error) {
-	return DiffReportsDataOpts(a, b, DiffOptions{})
-}
-
-// DiffReportsDataOpts is DiffReportsData under explicit comparison
-// options: per-column relative epsilons for the float columns and the
-// per-column summary mode. An empty result means the artefacts gate as
-// equal under the options.
-func DiffReportsDataOpts(a, b []byte, opts DiffOptions) ([]string, error) {
+// DiffReports compares two report artefacts (each a JSON object or array)
+// under opts and returns one human-readable line per divergence — empty
+// means the artefacts gate as equal: identical under the zero options,
+// within the per-column epsilons otherwise. Options that fail Validate are
+// rejected before either artefact is decoded.
+func DiffReports(a, b []byte, opts DiffOptions) ([]string, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	da, err := decodeReportDocs(a)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: first report: %w", err)
@@ -336,23 +367,4 @@ func DiffReportsDataOpts(a, b []byte, opts DiffOptions) ([]string, error) {
 		diffDocs(i, da[i], db[i], c)
 	}
 	return c.output(), nil
-}
-
-// DiffReportFiles compares two saved report artefacts by path, exactly.
-func DiffReportFiles(pathA, pathB string) ([]string, error) {
-	return DiffReportFilesOpts(pathA, pathB, DiffOptions{})
-}
-
-// DiffReportFilesOpts compares two saved report artefacts by path under
-// explicit comparison options.
-func DiffReportFilesOpts(pathA, pathB string, opts DiffOptions) ([]string, error) {
-	a, err := os.ReadFile(pathA)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	b, err := os.ReadFile(pathB)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return DiffReportsDataOpts(a, b, opts)
 }

@@ -850,7 +850,6 @@ func (c *clusterSim) balanceOnce() bool {
 // preserve.
 func (c *clusterSim) candidatesOn(node int) []*proc {
 	c.candScratch = sched.TopCandidatesInto(c.candScratch, c.lv.runnableOn[node],
-		func(p *proc) bool { return true },
 		func(p *proc) simtime.Duration { return p.remaining })
 	return c.candScratch
 }

@@ -208,17 +208,14 @@ func LightweightCost(footprintMB int64, wsFrac, bandwidthBps float64) (freeze, e
 // offers the policy each balancing round, longest remaining demand first.
 const MaxCandidates = 4
 
-// TopCandidatesInto selects up to MaxCandidates eligible items with the
-// largest remaining demand, earliest-input-first on ties (callers iterate
-// their processes in ascending id order). It appends into buf[:0], so the
+// TopCandidatesInto selects up to MaxCandidates items with the largest
+// remaining demand, earliest-input-first on ties (callers iterate their
+// processes in ascending id order). It appends into buf[:0], so the
 // scenario engine's balance round (one selection per node) reuses one
 // scratch slice instead of allocating per call.
-func TopCandidatesInto[T any](buf []T, items []T, eligible func(T) bool, remaining func(T) simtime.Duration) []T {
+func TopCandidatesInto[T any](buf []T, items []T, remaining func(T) simtime.Duration) []T {
 	top := buf[:0]
 	for _, it := range items {
-		if !eligible(it) {
-			continue
-		}
 		at := len(top)
 		for at > 0 && remaining(top[at-1]) < remaining(it) {
 			at--
@@ -253,19 +250,6 @@ func (v View) LeastLoaded() int {
 		*v.least = best
 	}
 	return best
-}
-
-// NodesByLoad returns the node indices sorted by descending load (lowest
-// index first on ties) — the order the drivers offer source nodes in.
-func (v View) NodesByLoad() []int {
-	order := make([]int, len(v.Nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return v.Nodes[order[a]].Load > v.Nodes[order[b]].Load
-	})
-	return order
 }
 
 // Clears applies the cost-benefit rule of Harchol-Balter & Downey (the
