@@ -5,16 +5,17 @@
 # for both job kinds), the binary smoke tests, the campaign-service smoke
 # (HTTP submit, dedup and store-hit paths), a short fuzz pass over the AMPoM
 # prefetcher, the trace combinators and the scenario spec codec, one
-# bench-balance iteration so policy-dispatch overhead is tracked, and one
+# bench-balance iteration so policy-dispatch overhead is tracked, the
+# fault-path microbenchmarks with their allocation counts (bench-core), one
 # bench-fabric iteration asserting the 512-, 4096- and 16384-node
 # presets' event budgets, plus the benchmark module's own vet and tests
 # (perfbench is a separate module that the root test run never builds).
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-fabric bench-json profile
+.PHONY: ci fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench bench-campaign bench-scenario bench-balance bench-core bench-fabric bench-json profile
 
-ci: fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench-balance bench-fabric
+ci: fmt-check vet build test race campaign-stress examples-smoke clusterd-smoke perfbench-test fuzz-smoke bench-balance bench-core bench-fabric
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -83,6 +84,16 @@ bench-scenario:
 # registry is tracked per PR.
 bench-balance:
 	$(GO) test -run '^$$' -bench '^BenchmarkPolicySweep$$' -benchtime 1x .
+
+# The fault path layer by layer, with -benchmem: BenchmarkAnalyze's
+# readahead/stream/multistream windows (the AMPoM per-fault analysis,
+# which must report 0 allocs/op; TestAnalyzeZeroAllocs enforces it) and
+# BenchmarkMigrationRun (one small AMPoM experiment through migrate,
+# paging and memory). Fixed iteration counts keep the work identical
+# from run to run.
+bench-core:
+	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime 200000x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkMigrationRun$$' -benchtime 20x -benchmem .
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm
 # (512n/2048p, failure-free and under the crash/evacuation/link-flap

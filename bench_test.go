@@ -194,19 +194,41 @@ func BenchmarkAblationPrefetchCap(b *testing.B) {
 
 // BenchmarkAnalyze measures one AMPoM per-fault analysis (window scan,
 // score, zone construction) — the cost Figure 11 bounds below 0.6 % of
-// runtime.
+// runtime — on three full 20-entry windows: no strided stream (the
+// read-ahead branch), one sequential stream (one pivot), and two
+// interleaved stride-2 streams (two pivots). The analysis is meant to
+// allocate nothing; `make bench-core` prints allocs/op.
 func BenchmarkAnalyze(b *testing.B) {
-	p := core.MustNew(core.DefaultConfig(), 1<<20)
-	for i := 0; i < 20; i++ {
-		p.RecordFault(memory.PageNum(1000+i), simtime.Time(i)*simtime.Time(simtime.Millisecond), 0.9)
+	stream := make([]memory.PageNum, 20)
+	multi := make([]memory.PageNum, 20)
+	for i := range stream {
+		stream[i] = memory.PageNum(1000 + i)
+		multi[i] = memory.PageNum(100 + i/2 + 10*(i%2))
+	}
+	windows := []struct {
+		name  string
+		pages []memory.PageNum
+	}{
+		{"readahead", []memory.PageNum{100, 5000, 37, 9000, 420, 7, 3100, 66, 12000, 880,
+			51, 7700, 2300, 640, 15000, 9, 4400, 300, 8100, 1200}},
+		{"stream", stream},
+		{"multistream", multi},
 	}
 	est := core.Estimates{RTT: 20 * simtime.Millisecond, PageTransfer: 400 * simtime.Microsecond}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := p.Analyze(est)
-		if a.N == 0 {
-			b.Fatal("degenerate analysis")
-		}
+	for _, w := range windows {
+		b.Run(w.name, func(b *testing.B) {
+			p := core.MustNew(core.DefaultConfig(), 1<<20)
+			for i, pg := range w.pages {
+				p.RecordFault(pg, simtime.Time(i)*simtime.Time(simtime.Millisecond), 0.9)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a := p.Analyze(est); a.N == 0 {
+					b.Fatal("degenerate analysis")
+				}
+			}
+		})
 	}
 }
 
@@ -225,6 +247,7 @@ func BenchmarkMigrationRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := migrate.Run(migrate.RunConfig{Workload: w, Scheme: migrate.AMPoM, Seed: 42})

@@ -74,7 +74,7 @@ func main() {
 		t += 400_000 // network-paced first touches
 		pre.RecordFault(ref.Page, t, 1)
 		if pre.Faults()%20 == 0 {
-			a := pre.Analyze(est)
+			a := pre.Analyze(est) // a.Pivots is printed before the next fault
 			fmt.Printf("%-8d %-8.3f %-10.0f %-6d %-8d %v\n",
 				pre.Faults(), a.Score, a.PagingRate, a.N, a.Streams, a.Pivots)
 			printed++

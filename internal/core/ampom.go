@@ -10,13 +10,19 @@
 // zone N = (c'/c)·S·r·(2t0 + td + 1/r) (Eq. 3), and identifies the zone's
 // pages from the prefetch pivots of outstanding strided streams (§3.4).
 //
-// The implementation is allocation-light: the window is a small ring and the
-// stride search runs in O(l²) over at most l = 20 entries, mirroring the
-// cheap in-kernel analysis the paper reports (<0.6 % of runtime, Fig. 11).
+// The per-fault analysis allocates nothing: the window is a small ring, the
+// stride search runs in O(l²) over at most l = 20 entries, and every
+// intermediate list lives in buffers the Prefetcher sizes once at New,
+// mirroring the cheap in-kernel analysis the paper reports (<0.6 % of
+// runtime, Fig. 11). In exchange, Analysis.Zone and Analysis.Pivots alias
+// the Prefetcher's storage: they stay valid only until the next
+// RecordFault or Analyze on the same Prefetcher, so a caller that keeps
+// them longer must copy them.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ampom/internal/memory"
 	"ampom/internal/simtime"
@@ -140,11 +146,14 @@ type Analysis struct {
 	// Streams is m, the number of outstanding strided streams found.
 	Streams int
 	// Pivots are the prefetch pivots of the outstanding streams, in window
-	// order.
+	// order. The slice aliases Prefetcher storage: valid until the next
+	// RecordFault or Analyze.
 	Pivots []memory.PageNum
 	// Zone is the dependent zone: up to N distinct candidate pages, in
 	// prefetch priority order. The caller filters out pages already local
-	// or in flight before issuing the remote paging request.
+	// or in flight before issuing the remote paging request. Like Pivots,
+	// it aliases Prefetcher storage and is valid until the next
+	// RecordFault or Analyze.
 	Zone []memory.PageNum
 }
 
@@ -166,8 +175,16 @@ type Prefetcher struct {
 
 	maxPage memory.PageNum // one past the last valid page
 
-	// scratch buffer reused across analyses to avoid per-fault allocation.
-	scratchPages []memory.PageNum
+	// Buffers reused across analyses so Analyze never allocates. Each is
+	// sized at New to its bound (l, DMax+1 or MaxPrefetch entries) and
+	// truncated on each call, so appends never reallocate.
+	pages   []memory.PageNum // window pages, oldest first
+	strides []int            // strideOf per window position
+	links   []link           // minimum stride per page value
+	counts  []int64          // stride_d per d, indexed 1..DMax
+	pivBuf  []memory.PageNum // Analysis.Pivots
+	zoneBuf []memory.PageNum // Analysis.Zone
+	stops   []memory.PageNum // per stream: one past its last walked page
 
 	// cumulative statistics for the evaluation figures.
 	faults     int64
@@ -183,11 +200,18 @@ func New(cfg Config, totalPages int64) (*Prefetcher, error) {
 	if totalPages <= 0 {
 		return nil, fmt.Errorf("core: non-positive address space size %d", totalPages)
 	}
+	l := cfg.WindowLen
 	return &Prefetcher{
-		cfg:          cfg,
-		win:          make([]entry, cfg.WindowLen),
-		maxPage:      memory.PageNum(totalPages),
-		scratchPages: make([]memory.PageNum, 0, cfg.WindowLen),
+		cfg:     cfg,
+		win:     make([]entry, l),
+		maxPage: memory.PageNum(totalPages),
+		pages:   make([]memory.PageNum, 0, l),
+		strides: make([]int, 0, l),
+		links:   make([]link, 0, l),
+		counts:  make([]int64, cfg.DMax+1),
+		pivBuf:  make([]memory.PageNum, 0, l),
+		zoneBuf: make([]memory.PageNum, 0, cfg.MaxPrefetch),
+		stops:   make([]memory.PageNum, 0, l),
 	}, nil
 }
 
@@ -226,7 +250,9 @@ func (p *Prefetcher) at(i int) *entry {
 // temporal locality and collapse into a single reference (§3.1); the entry's
 // time and utilisation are refreshed so the paging rate stays current.
 func (p *Prefetcher) RecordFault(page memory.PageNum, now simtime.Time, cpu float64) {
-	if cpu < 0 {
+	// Written so NaN clamps to 0 too: one NaN sample would otherwise turn
+	// CPUMean, the c'/c ratio and NReal into NaN for the next l faults.
+	if !(cpu >= 0) {
 		cpu = 0
 	}
 	if cpu > 1 {
@@ -275,15 +301,19 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 		return a
 	}
 
-	// Gather the window pages into scratch (oldest first).
-	w := p.scratchPages[:0]
+	// Gather the window pages (oldest first) and their strides, which both
+	// the score and the pivot search read.
+	w := p.pages[:0]
 	for i := 0; i < p.count; i++ {
 		w = append(w, p.at(i).page)
 	}
-	p.scratchPages = w
+	ds := p.strides[:0]
+	for i := range w {
+		ds = append(ds, p.strideOf(w, i))
+	}
 
 	// --- Spatial locality score S (Eq. 1) ---------------------------------
-	a.Score = p.score(w)
+	a.Score = p.score(w, ds)
 
 	// --- Paging rate r and CPU terms (Eq. 2) ------------------------------
 	first, last := p.at(0), p.at(p.count-1)
@@ -334,7 +364,7 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 	}
 
 	// --- Which pages: prefetch pivots of outstanding streams (§3.4) -------
-	a.Pivots = p.pivots(w)
+	a.Pivots = p.pivots(w, ds)
 	a.Streams = len(a.Pivots)
 	if a.N > 0 {
 		a.Zone = p.zone(w, a.Pivots, a.N)
@@ -347,15 +377,18 @@ func (p *Prefetcher) Analyze(est Estimates) Analysis {
 // 0 when none exists within DMax.
 func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
 	want := w[i] + 1
-	for j := i + 1; j < len(w); j++ {
+	for j := i + 1; j < len(w) && j-i <= p.cfg.DMax; j++ {
 		if w[j] == want {
-			if d := j - i; d <= p.cfg.DMax {
-				return d
-			}
-			return 0
+			return j - i
 		}
 	}
 	return 0
+}
+
+// link is a page value paired with a stride.
+type link struct {
+	page memory.PageNum
+	d    int
 }
 
 // score computes the spatial locality score S of Eq. 1:
@@ -365,17 +398,14 @@ func (p *Prefetcher) strideOf(w []memory.PageNum, i int) int {
 // stride_d counts distinct pages participating in stride-d patterns — both
 // the page whose minimum forward distance to its successor page is d and
 // that successor page itself, matching the paper's worked examples (e.g.
-// {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}).
-func (p *Prefetcher) score(w []memory.PageNum) float64 {
+// {1,99,2,45,3,78,4} ⇒ stride_2 = 4 for pages {1,2,3,4}). ds[i] is
+// strideOf(w, i).
+func (p *Prefetcher) score(w []memory.PageNum, ds []int) float64 {
 	// Minimum forward distance per page *value*. With at most l = 20
 	// entries a flat pair list beats a map.
-	type pd struct {
-		page memory.PageNum
-		d    int
-	}
-	links := make([]pd, 0, len(w))
+	links := p.links[:0]
 	for i := range w {
-		d := p.strideOf(w, i)
+		d := ds[i]
 		if d == 0 {
 			continue
 		}
@@ -391,28 +421,20 @@ func (p *Prefetcher) score(w []memory.PageNum) float64 {
 			}
 		}
 		if !found {
-			links = append(links, pd{w[i], d})
+			links = append(links, link{w[i], d})
 		}
 	}
 
 	// Count distinct (page, d) participations: both endpoints of each link.
-	var members []pd
-	addMember := func(page memory.PageNum, d int) bool {
-		for _, m := range members {
-			if m.page == page && m.d == d {
-				return false
-			}
-		}
-		members = append(members, pd{page, d})
-		return true
-	}
-	counts := make([]int64, p.cfg.DMax+1)
+	// Link pages are distinct, so start members are distinct and so are
+	// end members; a member is shared only when one stride-d link ends at
+	// the page the next stride-d link starts from.
+	counts := p.counts
+	clear(counts)
 	for _, lk := range links {
-		if addMember(lk.page, lk.d) {
-			counts[lk.d]++
-		}
-		if addMember(lk.page+1, lk.d) {
-			counts[lk.d]++
+		counts[lk.d] += 2
+		if slices.Contains(links, link{lk.page + 1, lk.d}) {
+			counts[lk.d]--
 		}
 	}
 
@@ -432,20 +454,13 @@ func (p *Prefetcher) score(w []memory.PageNum) float64 {
 // when its completing reference sits in the last d window slots — in the
 // paper's 1-based indexing (p+d) > l−d, i.e. q ≥ len(w)−d here. The pivot
 // is the page after the stream's last page, w[q]+1. Pivots are
-// deduplicated and clamped to the address space.
-func (p *Prefetcher) pivots(w []memory.PageNum) []memory.PageNum {
-	var out []memory.PageNum
+// deduplicated and clamped to the address space. ds[i] is strideOf(w, i).
+// The result aliases p.pivBuf.
+func (p *Prefetcher) pivots(w []memory.PageNum, ds []int) []memory.PageNum {
+	out := p.pivBuf[:0]
 	n := len(w)
-	seen := func(piv memory.PageNum) bool {
-		for _, o := range out {
-			if o == piv {
-				return true
-			}
-		}
-		return false
-	}
 	for i := range w {
-		d := p.strideOf(w, i)
+		d := ds[i]
 		if d == 0 {
 			continue
 		}
@@ -454,7 +469,7 @@ func (p *Prefetcher) pivots(w []memory.PageNum) []memory.PageNum {
 			continue // stream no longer outstanding
 		}
 		piv := w[q] + 1
-		if piv >= 0 && piv < p.maxPage && !seen(piv) {
+		if piv >= 0 && piv < p.maxPage && !slices.Contains(out, piv) {
 			out = append(out, piv)
 		}
 	}
@@ -464,31 +479,29 @@ func (p *Prefetcher) pivots(w []memory.PageNum) []memory.PageNum {
 // zone materialises the dependent zone: n pages distributed over the pivots
 // (n/m pages following each pivot, duplicates rolling their quota forward to
 // further pages — §3.4), or, with no outstanding streams, the n pages
-// following the last faulted page, imitating Linux read-ahead.
+// following the last faulted page, imitating Linux read-ahead. The result
+// aliases p.zoneBuf.
 func (p *Prefetcher) zone(w []memory.PageNum, pivots []memory.PageNum, n int) []memory.PageNum {
-	out := make([]memory.PageNum, 0, n)
-	chosen := make(map[memory.PageNum]bool, n)
-	add := func(page memory.PageNum) bool {
-		if page < 0 || page >= p.maxPage || chosen[page] {
-			return false
-		}
-		chosen[page] = true
-		out = append(out, page)
-		return true
-	}
+	out := p.zoneBuf[:0]
 
 	if len(pivots) == 0 {
-		last := w[len(w)-1]
-		for i := 1; len(out) < n; i++ {
-			page := last + memory.PageNum(i)
-			if page >= p.maxPage {
-				break
-			}
-			add(page)
+		// Read-ahead: last+1, last+2, … are distinct by construction.
+		page := w[len(w)-1] + 1
+		if page < 0 {
+			page = 0
+		}
+		for ; len(out) < n && page < p.maxPage; page++ {
+			out = append(out, page)
 		}
 		return out
 	}
 
+	// Each stream walks upward from its pivot, so every page it passes is
+	// either taken by it or was taken by an earlier stream. The pages
+	// chosen so far are therefore exactly the union of the earlier
+	// streams' runs [pivot, stop), and "already chosen" is an interval
+	// test against at most m runs — no set needed.
+	stops := p.stops[:0]
 	m := len(pivots)
 	quota := n / m
 	extra := n % m
@@ -499,11 +512,20 @@ func (p *Prefetcher) zone(w []memory.PageNum, pivots []memory.PageNum, n int) []
 		}
 		// Take q *fresh* pages starting at the pivot; pages already chosen
 		// by an earlier stream do not consume quota ("saved quota").
-		for page := piv; q > 0 && page < p.maxPage; page++ {
-			if add(page) {
-				q--
+		page := piv
+	walk:
+		for q > 0 && page < p.maxPage {
+			for j, stop := range stops {
+				if page >= pivots[j] && page < stop {
+					page = stop // skip the earlier stream's whole run
+					continue walk
+				}
 			}
+			out = append(out, page)
+			page++
+			q--
 		}
+		stops = append(stops, page)
 	}
 	return out
 }

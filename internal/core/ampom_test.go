@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -447,5 +448,59 @@ func TestCanonicalFixedPoint(t *testing.T) {
 	}
 	if (Config{BaselineScore: -2}).Canonical() == DefaultConfig().Canonical() {
 		t.Error("disabled baseline canonicalises to the default configuration")
+	}
+}
+
+// TestNaNUtilisationClamped: a NaN CPU sample must not poison the window.
+// It clamps to 0 like any other out-of-range reading, so the next analysis
+// still sizes a finite, non-empty zone.
+func TestNaNUtilisationClamped(t *testing.T) {
+	p := MustNew(DefaultConfig(), 1<<20)
+	for i := 0; i < 10; i++ {
+		cpu := 0.9
+		if i == 5 {
+			cpu = math.NaN()
+		}
+		p.RecordFault(memory.PageNum(1000+i), simtime.Time(i)*simtime.Time(simtime.Millisecond), cpu)
+	}
+	a := p.Analyze(est(20*simtime.Millisecond, 400*simtime.Microsecond))
+	if math.IsNaN(a.CPUMean) || math.IsNaN(a.NReal) || math.IsInf(a.NReal, 0) {
+		t.Fatalf("NaN sample leaked: CPUMean=%v NReal=%v", a.CPUMean, a.NReal)
+	}
+	if a.N == 0 || len(a.Zone) == 0 {
+		t.Fatalf("empty zone after a NaN sample: N=%d zone=%v", a.N, a.Zone)
+	}
+}
+
+// TestAnalyzeZeroAllocs pins the per-fault analysis at zero allocations,
+// the property the package comment promises, on three window shapes: no
+// strided stream (read-ahead), one sequential stream, and two interleaved
+// stride-2 streams (pivots 110 and 120) whose zones overlap at the
+// 128-page cap (saved quota).
+func TestAnalyzeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range []struct {
+		name    string
+		pages   []int64
+		streams int
+	}{
+		{"readahead", []int64{100, 5000, 37, 9000, 420, 7, 3100, 66, 12000, 880}, 0},
+		{"stream", []int64{1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009}, 1},
+		{"multistream", []int64{100, 110, 101, 111, 102, 112, 103, 113, 104, 114,
+			105, 115, 106, 116, 107, 117, 108, 118, 109, 119}, 2},
+	} {
+		p := MustNew(DefaultConfig(), 1<<20)
+		record(p, c.pages)
+		// A long round trip sizes the zone at the cap.
+		e := est(simtime.Second, 400*simtime.Microsecond)
+		a := p.Analyze(e)
+		if a.Streams != c.streams || a.N != DefaultMaxPrefetch || len(a.Zone) != a.N {
+			t.Fatalf("%s: %d streams (want %d), N=%d, %d zone pages", c.name, a.Streams, c.streams, a.N, len(a.Zone))
+		}
+		if got := testing.AllocsPerRun(100, func() { p.Analyze(e) }); got != 0 {
+			t.Errorf("%s: Analyze allocates %v times per call, want 0", c.name, got)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ampom/internal/memory"
@@ -12,16 +13,21 @@ import (
 // page sequence — and checks the per-fault analysis invariants the
 // migration executor relies on: the score stays in [0, 1], the dependent
 // zone respects the cap and the address-space bounds, and the zone never
-// contains duplicates. Run with `go test -fuzz FuzzPrefetcherFault`; `make
+// contains duplicates. It also replays every analysis on the reference
+// model (reference_test.go) and requires the same score and, element by
+// element in order, the same pivots and zone. Run with `go test -fuzz FuzzPrefetcherFault`; `make
 // ci` gives it a 10 s smoke.
 func FuzzPrefetcherFault(f *testing.F) {
 	// Seed corpus: a sequential sweep, a strided reader, random-ish noise,
-	// a constant page, and descending addresses, over assorted configs.
+	// a constant page, descending addresses, and two interleaved stride-2
+	// streams four pages apart, whose ~15-page zones overlap (the
+	// saved-quota path), over assorted configs.
 	f.Add(uint8(20), uint8(4), uint16(128), false, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(10), uint8(2), uint16(32), true, []byte{0, 3, 6, 9, 12, 15, 18, 21})
 	f.Add(uint8(5), uint8(1), uint16(8), false, []byte{200, 17, 93, 4, 150, 62, 255, 0, 31})
 	f.Add(uint8(2), uint8(1), uint16(1), true, []byte{7, 7, 7, 7, 7, 7})
 	f.Add(uint8(40), uint8(8), uint16(512), false, []byte{250, 240, 230, 220, 210, 200})
+	f.Add(uint8(8), uint8(2), uint16(128), false, []byte{0, 100, 0, 104, 0, 101, 0, 105, 0, 102, 0, 106, 0, 103, 0, 107})
 
 	f.Fuzz(func(t *testing.T, windowLen, dmax uint8, cap16 uint16, disableBaseline bool, stream []byte) {
 		if len(stream) > 512 {
@@ -82,6 +88,25 @@ func FuzzPrefetcherFault(f *testing.F) {
 			}
 			if a.PagingRate < 0 {
 				t.Fatalf("negative paging rate %v", a.PagingRate)
+			}
+
+			if p.WindowLen() < 2 {
+				continue
+			}
+			w := p.Window()
+			if want := refScore(p, w); a.Score != want {
+				t.Fatalf("window %v: score %v, reference %v", w, a.Score, want)
+			}
+			wantPiv := refPivots(p, w)
+			if !slices.Equal(a.Pivots, wantPiv) {
+				t.Fatalf("window %v: pivots %v, reference %v", w, a.Pivots, wantPiv)
+			}
+			var wantZone []memory.PageNum
+			if a.N > 0 {
+				wantZone = refZone(p, w, wantPiv, a.N)
+			}
+			if !slices.Equal(a.Zone, wantZone) {
+				t.Fatalf("window %v, N=%d: zone %v, reference %v", w, a.N, a.Zone, wantZone)
 			}
 		}
 		if got, want := p.Faults(), int64(len(stream)/2); got != want {

@@ -307,6 +307,7 @@ func (p *Proc) fault(page int) error {
 			RTT:          simtime.FromStd(p.rtt),
 			PageTransfer: simtime.FromStd(p.rtt / 4),
 		})
+		// a.Zone aliases the prefetcher's buffer; copy it out now.
 		for _, z := range a.Zone {
 			if !p.hasPage(int(z)) && int(z) != page {
 				req = append(req, int(z))

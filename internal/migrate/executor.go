@@ -171,6 +171,10 @@ func (e *executor) fault(page memory.PageNum) {
 		e.scoreSum += a.Score
 		e.nSum += float64(a.N)
 		cost += ac
+		// a.Zone aliases the prefetcher's buffer until its next
+		// RecordFault. The migrant is stalled until faultSend, so no
+		// fault can intervene, and Pager.Request copies the pages it
+		// keeps.
 		zone = a.Zone
 	}
 

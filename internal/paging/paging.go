@@ -109,7 +109,7 @@ type Deputy struct {
 type gatedRequest struct {
 	seq    uint64
 	pages  []memory.PageNum
-	demand map[memory.PageNum]bool
+	demand memory.PageNum // NoDemand when absent
 }
 
 // SetAvailableAfter gates page service until instant t: requests arriving
@@ -147,23 +147,23 @@ func (d *Deputy) handle(payload any) bool {
 	// The demand page is served first — the migrant is stalled on it — and
 	// the dependent zone streams behind it.
 	pages := make([]memory.PageNum, 0, len(req.Prefetch)+1)
-	demand := map[memory.PageNum]bool{}
 	if req.Demand != NoDemand {
 		pages = append(pages, req.Demand)
-		demand[req.Demand] = true
 	}
 	pages = append(pages, req.Prefetch...)
 
 	if d.node.Eng.Now() < d.availableAfter {
-		d.gated = append(d.gated, gatedRequest{seq: req.Seq, pages: pages, demand: demand})
+		d.gated = append(d.gated, gatedRequest{seq: req.Seq, pages: pages, demand: req.Demand})
 		return true
 	}
 	cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(len(pages)))
-	d.node.Eng.Schedule(cost, func() { d.serve(req.Seq, pages, demand) })
+	d.node.Eng.Schedule(cost, func() { d.serve(req.Seq, pages, req.Demand) })
 	return true
 }
 
-func (d *Deputy) serve(seq uint64, pages []memory.PageNum, demand map[memory.PageNum]bool) {
+// serve sends pages in order; demand is the request's demand page, or
+// NoDemand, which matches no page.
+func (d *Deputy) serve(seq uint64, pages []memory.PageNum, demand memory.PageNum) {
 	for _, p := range pages {
 		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
 			// Already transferred (or never stored) — a benign race when a
@@ -174,9 +174,9 @@ func (d *Deputy) serve(seq uint64, pages []memory.PageNum, demand map[memory.Pag
 		if err := d.tables.TransferToMigrant(p); err != nil {
 			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
 		}
-		rep := PageReply{Seq: seq, Page: p, Demand: demand[p]}
+		rep := PageReply{Seq: seq, Page: p, Demand: p == demand}
 		d.Stats.BytesSent += rep.WireSize()
-		if demand[p] {
+		if rep.Demand {
 			d.Stats.DemandServed++
 		} else {
 			d.Stats.PrefetchServed++

@@ -1009,7 +1009,7 @@ func (c *clusterSim) prefetchCensus(p *proc, est core.Estimates, wsPages int64) 
 		sampleHard++
 		t = t.Add(est.RTT)
 		pre.RecordFault(ref.Page, t, 1)
-		a := pre.Analyze(est)
+		a := pre.Analyze(est) // a.Zone is consumed before the next fault
 		n := 0
 		for _, pg := range a.Zone {
 			if pg >= 0 && int64(pg) < wsPages && !arrived[pg] {
