@@ -6,8 +6,12 @@
 // workload models) needed to regenerate every figure of the paper's
 // evaluation.
 //
-// This package is the public facade: it re-exports the stable surface of
-// the internal packages so applications can be written against one import.
+// This package is the public facade: it re-exports the part of the
+// internal packages that the programs under cmd/ and examples/ use, so
+// applications can be written against one import. Every exported name is
+// either reached by one of those programs or appears in the signature of
+// a facade function that is (TestFacadeNamesHaveCallers enforces this);
+// everything else stays behind the internal packages.
 //
 //	w, _ := ampom.BuildWorkload(ampom.Entry{Kernel: ampom.STREAM, MemoryMB: 64}, 1)
 //	r, _ := ampom.Run(ampom.RunConfig{Workload: w, Scheme: ampom.SchemeAMPoM})
@@ -39,8 +43,6 @@ import (
 type (
 	// Time is an instant of virtual time (nanoseconds).
 	Time = simtime.Time
-	// Duration is a span of virtual time (nanoseconds).
-	Duration = simtime.Duration
 	// PageNum identifies a page within a process address space.
 	PageNum = memory.PageNum
 	// PrefetcherConfig tunes the AMPoM algorithm (window length, dmax,
@@ -48,8 +50,6 @@ type (
 	PrefetcherConfig = core.Config
 	// Prefetcher is the per-process AMPoM engine.
 	Prefetcher = core.Prefetcher
-	// Analysis is one per-fault AMPoM decision.
-	Analysis = core.Analysis
 	// Estimates carries the monitoring daemon's measurements into Eq. 3.
 	Estimates = core.Estimates
 )
@@ -80,20 +80,15 @@ type (
 	RunConfig = migrate.RunConfig
 	// Result carries a run's timings and fault census.
 	Result = migrate.Result
-	// Calibration holds the simulator's cost constants.
-	Calibration = migrate.Calibration
 	// NetworkProfile describes a link (latency, bandwidth).
 	NetworkProfile = netmodel.Profile
 )
 
-// The three migration schemes of the paper, plus the two baselines its
-// Figure 2 and related work describe.
+// The three migration schemes of the paper.
 const (
-	SchemeOpenMosix     = migrate.OpenMosix
-	SchemeNoPrefetch    = migrate.NoPrefetch
-	SchemeAMPoM         = migrate.AMPoM
-	SchemeFFAFileServer = migrate.FFAFileServer
-	SchemePrecopy       = migrate.Precopy
+	SchemeOpenMosix  = migrate.OpenMosix
+	SchemeNoPrefetch = migrate.NoPrefetch
+	SchemeAMPoM      = migrate.AMPoM
 )
 
 // Schemes lists the paper's three evaluated schemes; AllSchemes adds the
@@ -124,41 +119,20 @@ type (
 	CampaignOptions = campaign.Options
 	// CampaignProgress is one progress/ETA sample of a running batch.
 	CampaignProgress = campaign.Progress
-	// CampaignRunError aggregates the failures of a campaign batch.
-	CampaignRunError = campaign.RunError[campaign.Job]
-	// CampaignScenarioProgress is one per-policy progress sample of an
-	// executing scenario job (CampaignOptions.OnScenarioProgress).
-	CampaignScenarioProgress = campaign.ScenarioProgress
 )
 
 // NewCampaignEngine returns a parallel experiment engine. Per-job seeds are
 // derived from the job key, so any worker count produces identical results.
 func NewCampaignEngine(opts CampaignOptions) *CampaignEngine { return campaign.New(opts) }
 
-// DeriveJobSeed exposes the engine's seed derivation: a pure function of
-// the campaign base seed and a job fingerprint.
-func DeriveJobSeed(base uint64, fingerprint string) uint64 {
-	return campaign.DeriveSeed(base, fingerprint)
-}
-
-// Result-store aliases: the persistent content-addressed cache behind the
-// campaign engine (CampaignOptions.Store), the batch CLIs (-store) and
-// the ampom-clusterd service.
-type (
-	// ResultStore maps campaign job fingerprints to report bytes on disk,
-	// with atomic writes and per-cell integrity checks.
-	ResultStore = resultstore.Store
-	// ResultStoreStats counts a store's hits, misses, corruptions and
-	// traffic.
-	ResultStoreStats = resultstore.Stats
-)
+// ResultStore is the persistent content-addressed cache behind the
+// campaign engine (CampaignOptions.Store), the batch CLIs (-store) and the
+// ampom-clusterd service: it maps campaign job fingerprints to report
+// bytes on disk, with atomic writes and per-cell integrity checks.
+type ResultStore = resultstore.Store
 
 // OpenResultStore returns a store rooted at dir, creating it if needed.
 func OpenResultStore(dir string) (*ResultStore, error) { return resultstore.Open(dir) }
-
-// ResultStoreKey maps a job fingerprint to its content-addressed cell
-// key — the job handle of the ampom-clusterd HTTP API.
-func ResultStoreKey(fingerprint string) string { return resultstore.Key(fingerprint) }
 
 // Campaign-service aliases: the long-lived HTTP daemon (ampom-clusterd)
 // and its client (`ampom-cluster -server`).
@@ -170,16 +144,6 @@ type (
 	ClusterServerConfig = clusterd.Config
 	// ClusterClient speaks the service's HTTP API.
 	ClusterClient = clusterd.Client
-	// ClusterJobStatus is one job's wire state (key, status, cached).
-	ClusterJobStatus = clusterd.JobStatus
-	// ClusterEvent is one line of a job's NDJSON event stream.
-	ClusterEvent = clusterd.Event
-	// ClusterDiffRequest asks the service to compare two completed jobs.
-	ClusterDiffRequest = clusterd.DiffRequest
-	// ClusterDiffResponse reports a server-side comparison.
-	ClusterDiffResponse = clusterd.DiffResponse
-	// ClusterStats is the service's counter snapshot (GET /v1/stats).
-	ClusterStats = clusterd.Stats
 )
 
 // NewClusterServer returns a campaign service for the configuration.
@@ -225,11 +189,6 @@ func FastEthernet() NetworkProfile { return netmodel.FastEthernet() }
 // Broadband returns the paper's §5.5 tc-shaped 6 Mb/s / 2 ms profile.
 func Broadband() NetworkProfile { return netmodel.Broadband() }
 
-// ShapeNetwork applies tc-style traffic shaping to a profile.
-func ShapeNetwork(p NetworkProfile, bitsPerSecond float64, oneWayLatency Duration) NetworkProfile {
-	return netmodel.Shape(p, bitsPerSecond, oneWayLatency)
-}
-
 // NewCampaign returns an experiment campaign that regenerates the paper's
 // tables and figures. Scale 1 reproduces paper-scale runs; larger divisors
 // shrink footprints for quick exploration.
@@ -239,46 +198,9 @@ func NewCampaign(cfg CampaignConfig) *Campaign { return harness.NewMatrix(cfg) }
 // (the Figure 4 axes).
 func Locality(w *Workload) (spatial, temporal float64) { return hpcc.Locality(w) }
 
-// Load-balancing aliases (the paper's §7 outlook): the balancer surface is
-// the open BalancerPolicy interface plus a sorted, deterministic registry,
-// so new cost models plug in beside the built-in six. The cluster scenario
-// engine (RunScenario) is the simulator that drives them.
-type (
-	// BalancerPolicy decides when and where the load balancer migrates.
-	// Implement it (Name, MigrationCost, ShouldMigrate) and register with
-	// RegisterBalancerPolicy to add a policy to every report.
-	BalancerPolicy = sched.BalancerPolicy
-	// BalancerView is the cluster state a policy decides on.
-	BalancerView = sched.View
-	// BalancerNodeView is one node of a BalancerView.
-	BalancerNodeView = sched.NodeView
-	// BalancerProcView is the migration candidate a policy is asked about.
-	BalancerProcView = sched.ProcView
-)
-
-// The built-in balancer policy names — the registry keys reports are keyed
-// by, in registry-sorted order.
-const (
-	PolicyAMPoM       = sched.NameAMPoM
-	PolicyLoadVector  = sched.NameLoadVector
-	PolicyMemUsher    = sched.NameMemUsher
-	PolicyNoMigration = sched.NameNoMigration
-	PolicyOpenMosix   = sched.NameOpenMosix
-	PolicyQueueGossip = sched.NameQueueGossip
-)
-
-// RegisterBalancerPolicy adds a policy to the registry; registered
-// policies appear in default scenario reports and policy sweeps.
-func RegisterBalancerPolicy(p BalancerPolicy) error { return sched.Register(p) }
-
-// BalancerPolicyNames lists every registered policy name, sorted.
+// BalancerPolicyNames lists every registered load-balancing policy name
+// (the paper's §7 outlook), sorted — the keys scenario reports use.
 func BalancerPolicyNames() []string { return sched.Names() }
-
-// LookupBalancerPolicy returns the policy registered under name.
-func LookupBalancerPolicy(name string) (BalancerPolicy, bool) { return sched.Lookup(name) }
-
-// BalancerPolicies resolves registry names to policies, preserving order.
-func BalancerPolicies(names ...string) ([]BalancerPolicy, error) { return sched.ByNames(names) }
 
 // Cluster-scenario aliases: declarative multi-node runs composing the event
 // engine, cluster nodes, infod dissemination, the load balancer and the
@@ -289,34 +211,15 @@ type (
 	ScenarioSpec = scenario.Spec
 	// ScenarioReport is the cluster-level outcome under every policy.
 	ScenarioReport = scenario.Report
-	// ScenarioSchemeStats is one policy's row of a scenario report.
-	ScenarioSchemeStats = scenario.SchemeStats
 	// ScenarioMix names a per-process page-reference shape.
 	ScenarioMix = scenario.MixKind
 	// ScenarioMixWeight weights one mix inside a scenario workload.
 	ScenarioMixWeight = scenario.MixWeight
-	// ScenarioChurn is one scripted mid-run disturbance.
-	ScenarioChurn = scenario.ChurnEvent
 	// ScenarioJob wraps a scenario as a campaign job (fingerprinted,
 	// single-flight, parallel-safe) for CampaignEngine.RunScenario(s).
 	ScenarioJob = campaign.ScenarioJob
-	// ScenarioFabric selects a scenario's interconnect topology (star,
-	// two-tier, flat) and gossip dissemination parameters.
-	ScenarioFabric = scenario.FabricSpec
 	// FabricTopology names an interconnect topology.
 	FabricTopology = fabric.Kind
-	// FabricTierStats is one interconnect tier's utilisation row of a
-	// scenario report (switched fabrics only).
-	FabricTierStats = fabric.TierStats
-)
-
-// The built-in fabric topologies: the legacy single-hub star (the default,
-// with paired infod daemons), the switched two-tier rack fabric and the
-// flat full-bisection fabric (both monitored by decentralised gossip).
-const (
-	FabricStar    = fabric.KindStar
-	FabricTwoTier = fabric.KindTwoTier
-	FabricFlat    = fabric.KindFlat
 )
 
 // FabricTopologyNames lists the built-in topology names.
@@ -355,15 +258,6 @@ func RunScenario(spec ScenarioSpec, seed uint64) (*ScenarioReport, error) {
 	return scenario.Run(spec, seed)
 }
 
-// RunScenarioShards is RunScenario with the event engine sharded per rack
-// band across the given number of conservative-window workers (two-tier
-// fabrics only; clamped to the rack count, and any other topology runs
-// sequentially). Sharding is purely an execution strategy: every shard
-// count renders a byte-identical report.
-func RunScenarioShards(spec ScenarioSpec, seed uint64, shards int) (*ScenarioReport, error) {
-	return scenario.RunShards(spec, seed, shards)
-}
-
 // Scenario I/O: specs are versioned JSON documents (unknown fields
 // rejected, omitted fields defaulted) and reports encode to JSON and CSV,
 // so scenarios and their outcomes are shareable on-disk artefacts.
@@ -374,12 +268,6 @@ func LoadScenarioSpec(path string) (ScenarioSpec, error) { return scenario.LoadS
 
 // SaveScenarioSpec writes the canonical form of the spec as versioned JSON.
 func SaveScenarioSpec(path string, s ScenarioSpec) error { return scenario.SaveSpec(path, s) }
-
-// DecodeScenarioSpec parses a versioned JSON spec document.
-func DecodeScenarioSpec(data []byte) (ScenarioSpec, error) { return scenario.DecodeSpec(data) }
-
-// EncodeScenarioSpec renders the canonical spec as versioned JSON.
-func EncodeScenarioSpec(s ScenarioSpec) ([]byte, error) { return scenario.EncodeSpec(s) }
 
 // ScenarioReportsJSON renders a batch of reports as one JSON array
 // (nil slots from failed runs are skipped).
@@ -397,9 +285,6 @@ func ScenarioReportsCSV(reports []*ScenarioReport) string { return scenario.Repo
 func DecodeScenarioReports(data []byte) ([]*ScenarioReport, error) {
 	return scenario.DecodeReports(data)
 }
-
-// LoadScenarioReports reads a saved report artefact from disk.
-func LoadScenarioReports(path string) ([]*ScenarioReport, error) { return scenario.LoadReports(path) }
 
 // ScenarioDiffOptions tunes report comparison: per-column relative
 // epsilons for the float columns (counts always compare exactly) and the
@@ -463,12 +348,4 @@ func SpawnLiveProc(n *LiveNode, pid, pages int, program []LiveOp, seed uint64) *
 // migrant finishes, returning its final memory checksum.
 func MigrateLive(p *LiveProc, destAddr string, opts LiveMigrateOptions) (uint64, error) {
 	return emu.Migrate(p, destAddr, opts)
-}
-
-// SequentialLiveProgram builds a multi-pass sequential page program.
-func SequentialLiveProgram(pages, passes int) []LiveOp { return emu.SequentialProgram(pages, passes) }
-
-// StridedLiveProgram builds a strided page program.
-func StridedLiveProgram(pages, count, stride int) []LiveOp {
-	return emu.StridedProgram(pages, count, stride)
 }

@@ -1,8 +1,18 @@
 package ampom
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"ampom/internal/fabric"
+	"ampom/internal/scenario"
+	"ampom/internal/sched"
 	"ampom/internal/sim"
 )
 
@@ -37,24 +47,20 @@ func TestFacadeSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prevFreeze Duration
-	for i, s := range []Scheme{SchemeNoPrefetch, SchemeAMPoM, SchemeOpenMosix} {
+	var prev *Result
+	for _, s := range []Scheme{SchemeNoPrefetch, SchemeAMPoM, SchemeOpenMosix} {
 		r, err := Run(RunConfig{Workload: w, Scheme: s, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && r.Freeze <= prevFreeze {
+		if prev != nil && r.Freeze <= prev.Freeze {
 			t.Fatalf("freeze ordering violated at %v", s)
 		}
-		prevFreeze = r.Freeze
+		prev = r
 	}
 }
 
 func TestFacadeNetworkShaping(t *testing.T) {
-	p := ShapeNetwork(FastEthernet(), 6e6, 2_000_000)
-	if p.BandwidthBps != 0.75e6 {
-		t.Fatalf("shaped profile = %+v", p)
-	}
 	if Broadband().BandwidthBps != 0.75e6 {
 		t.Fatal("broadband profile wrong")
 	}
@@ -107,8 +113,8 @@ func TestFacadeLocality(t *testing.T) {
 }
 
 // TestFacadeCampaignEngine drives the re-exported parallel campaign engine:
-// a small scheme sweep must be cache-shared, deterministic across worker
-// counts, and reproducible through the derived job seeds.
+// a small scheme sweep must be cache-shared and deterministic across worker
+// counts.
 func TestFacadeCampaignEngine(t *testing.T) {
 	jobs := []CampaignJob{
 		{Kernel: STREAM, MemoryMB: 8, Scheme: SchemeAMPoM},
@@ -133,59 +139,48 @@ func TestFacadeCampaignEngine(t *testing.T) {
 			t.Fatalf("job %d: sequential and parallel results differ", i)
 		}
 	}
-	if DeriveJobSeed(9, jobs[0].Fingerprint()) != DeriveJobSeed(9, jobs[2].Fingerprint()) {
-		t.Fatal("identical jobs derived different seeds")
-	}
-	if DeriveJobSeed(9, jobs[0].Fingerprint()) == DeriveJobSeed(10, jobs[0].Fingerprint()) {
-		t.Fatal("base seed ignored by seed derivation")
-	}
 }
 
 // TestFacadePolicyRegistry drives the balancer surface: the registry lists
-// the built-ins in sorted order, lookups resolve, and a scenario run under
-// a policy subset reports exactly that subset in registry order.
+// the built-ins in sorted order, and a scenario run under a policy subset
+// reports exactly that subset in registry order.
 func TestFacadePolicyRegistry(t *testing.T) {
 	names := BalancerPolicyNames()
-	if len(names) < 5 {
-		t.Fatalf("registry has %d policies, want >= 5: %v", len(names), names)
+	if !slices.IsSorted(names) {
+		t.Fatalf("registry names not sorted: %v", names)
 	}
-	for _, want := range []string{PolicyAMPoM, PolicyLoadVector, PolicyMemUsher, PolicyNoMigration, PolicyOpenMosix} {
-		if _, ok := LookupBalancerPolicy(want); !ok {
-			t.Fatalf("built-in policy %q missing", want)
+	for _, want := range []string{sched.NameAMPoM, sched.NameLoadVector, sched.NameMemUsher,
+		sched.NameNoMigration, sched.NameOpenMosix, sched.NameQueueGossip} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("built-in policy %q missing from %v", want, names)
 		}
-	}
-	if _, err := BalancerPolicies(PolicyAMPoM, PolicyNoMigration); err != nil {
-		t.Fatal(err)
 	}
 	rep, err := RunScenario(ScenarioSpec{
 		Nodes:    4,
 		Procs:    16,
-		Policies: []string{PolicyNoMigration, PolicyAMPoM},
+		Policies: []string{sched.NameNoMigration, sched.NameAMPoM},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Schemes) != 2 || rep.Schemes[0].Policy != PolicyAMPoM || rep.Schemes[1].Policy != PolicyNoMigration {
+	if len(rep.Schemes) != 2 || rep.Schemes[0].Policy != sched.NameAMPoM || rep.Schemes[1].Policy != sched.NameNoMigration {
 		t.Fatalf("scenario rows not {AMPoM, no-migration} in registry order: %+v", rep.Schemes)
 	}
-	if am, ok := rep.Scheme(PolicyAMPoM); !ok || am.Makespan <= 0 {
+	if am, ok := rep.Scheme(sched.NameAMPoM); !ok || am.Makespan <= 0 {
 		t.Fatalf("AMPoM row degenerate: %+v", am)
 	}
 }
 
 // TestFacadeFabric drives the fabric surface: topology parsing, the
-// ScenarioFabric spec block, a switched-fabric run with tier stats and the
+// spec's fabric block, a switched-fabric run with tier stats and the
 // queue-gossip policy, and the report decode/diff round trip.
 func TestFacadeFabric(t *testing.T) {
-	if _, ok := LookupBalancerPolicy(PolicyQueueGossip); !ok {
-		t.Fatalf("built-in policy %q missing", PolicyQueueGossip)
-	}
 	names := FabricTopologyNames()
 	if len(names) != 3 {
 		t.Fatalf("topologies %v, want star/two-tier/flat", names)
 	}
 	k, err := ParseFabricTopology("two-tier")
-	if err != nil || k != FabricTwoTier {
+	if err != nil || k != fabric.KindTwoTier {
 		t.Fatalf("ParseFabricTopology = %v, %v", k, err)
 	}
 	if _, err := ParseFabricTopology("hypercube"); err == nil {
@@ -194,14 +189,14 @@ func TestFacadeFabric(t *testing.T) {
 
 	spec := ScenarioSpec{
 		Name: "facade-fabric", Nodes: 8, Procs: 24,
-		Policies: []string{PolicyAMPoM, PolicyQueueGossip},
-		Fabric:   ScenarioFabric{Topology: FabricTwoTier, RackSize: 4},
+		Policies: []string{sched.NameAMPoM, sched.NameQueueGossip},
+		Fabric:   scenario.FabricSpec{Topology: k, RackSize: 4},
 	}
 	rep, err := RunScenario(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	am, ok := rep.Scheme(PolicyAMPoM)
+	am, ok := rep.Scheme(sched.NameAMPoM)
 	if !ok || len(am.TierUse) != 2 {
 		t.Fatalf("two-tier run carries tiers %+v", am.TierUse)
 	}
@@ -241,15 +236,15 @@ func TestFacadeFabric(t *testing.T) {
 	}
 }
 
-// TestFacadeScenarioSpecIO round-trips a spec and a report through the
-// facade's I/O surface.
+// TestFacadeScenarioSpecIO round-trips a spec file and a report through
+// the facade's I/O surface.
 func TestFacadeScenarioSpecIO(t *testing.T) {
-	spec := ScenarioSpec{Name: "facade", Nodes: 4, Procs: 8, Policies: []string{PolicyAMPoM}}
-	data, err := EncodeScenarioSpec(spec)
-	if err != nil {
+	spec := ScenarioSpec{Name: "facade", Nodes: 4, Procs: 8, Policies: []string{sched.NameAMPoM}}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := SaveScenarioSpec(path, spec); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeScenarioSpec(data)
+	back, err := LoadScenarioSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +273,80 @@ func TestFacadeCampaignWorkers(t *testing.T) {
 	par := NewCampaign(CampaignConfig{Scale: 16, Seed: 7, Workers: 8}).Table1().Render()
 	if seq != par {
 		t.Fatal("Table 1 differs across worker counts")
+	}
+}
+
+// TestFacadeNamesHaveCallers keeps the facade from growing back: every
+// exported name in ampom.go must either be reached as ampom.<Name> by a
+// program under cmd/ or examples/, or appear in the signature of another
+// exported facade function.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "ampom.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	inSignature := map[string]bool{}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			names = append(names, d.Name.Name)
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					inSignature[id.Name] = true
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						names = append(names, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						if id.IsExported() {
+							names = append(names, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	called := map[string]bool{}
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "ampom" {
+						called[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, name := range names {
+		if !called[name] && !inSignature[name] {
+			t.Errorf("ampom.%s has no caller under cmd/ or examples/ and is in no exported facade signature", name)
+		}
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"ampom/internal/memory"
 	"ampom/internal/migrate"
 	"ampom/internal/netmodel"
+	"ampom/internal/scenario"
+	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
 
@@ -320,7 +322,7 @@ func BenchmarkScenario(b *testing.B) {
 			b.Fatal("degenerate scenario run")
 		}
 		if i == b.N-1 {
-			am, _ := rep.Scheme(PolicyAMPoM)
+			am, _ := rep.Scheme(sched.NameAMPoM)
 			b.ReportMetric(float64(am.Migrations), "migrations")
 			b.ReportMetric(am.MeanSlowdown, "slowdown")
 			b.ReportMetric(float64(am.Events), "events")
@@ -353,7 +355,7 @@ func BenchmarkPolicySweep(b *testing.B) {
 		}
 		if i == b.N-1 {
 			for _, st := range rep.Schemes {
-				if st.Policy == PolicyNoMigration {
+				if st.Policy == sched.NameNoMigration {
 					continue
 				}
 				b.ReportMetric(float64(st.Migrations), st.Policy+"_migrations")
@@ -416,7 +418,7 @@ func BenchmarkFabric512(b *testing.B) {
 	if spec.Nodes != 512 || spec.Procs != 2048 {
 		b.Fatalf("rack-farm is %dn/%dp, want 512/2048", spec.Nodes, spec.Procs)
 	}
-	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
+	spec.Policies = []string{sched.NameNoMigration, sched.NameAMPoM, sched.NameQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -426,7 +428,7 @@ func BenchmarkFabric512(b *testing.B) {
 		}
 		assertEventBudget(b, rep, fabric512EventBudget, i == b.N-1)
 		if i == b.N-1 {
-			qg, _ := rep.Scheme(PolicyQueueGossip)
+			qg, _ := rep.Scheme(sched.NameQueueGossip)
 			b.ReportMetric(float64(qg.Migrations), "qg_migrations")
 		}
 	}
@@ -458,7 +460,7 @@ func BenchmarkFabric512Failures(b *testing.B) {
 	if spec.Nodes != 512 || spec.Procs != 2048 {
 		b.Fatalf("rack-farm-failures is %dn/%dp, want 512/2048", spec.Nodes, spec.Procs)
 	}
-	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
+	spec.Policies = []string{sched.NameNoMigration, sched.NameAMPoM, sched.NameQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -499,7 +501,7 @@ func BenchmarkFabric4096(b *testing.B) {
 	if spec.Nodes != 4096 || spec.Procs != 16384 {
 		b.Fatalf("mega-farm is %dn/%dp, want 4096/16384", spec.Nodes, spec.Procs)
 	}
-	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
+	spec.Policies = []string{sched.NameNoMigration, sched.NameAMPoM, sched.NameQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -509,7 +511,7 @@ func BenchmarkFabric4096(b *testing.B) {
 		}
 		assertEventBudget(b, rep, fabric4096EventBudget, i == b.N-1)
 		if i == b.N-1 {
-			am, _ := rep.Scheme(PolicyAMPoM)
+			am, _ := rep.Scheme(sched.NameAMPoM)
 			b.ReportMetric(float64(am.Migrations), "ampom_migrations")
 		}
 	}
@@ -536,7 +538,7 @@ func BenchmarkFabric16384(b *testing.B) {
 	if spec.Nodes != 16384 || spec.Procs != 65536 {
 		b.Fatalf("giga-farm is %dn/%dp, want 16384/65536", spec.Nodes, spec.Procs)
 	}
-	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
+	spec.Policies = []string{sched.NameNoMigration, sched.NameAMPoM, sched.NameQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -546,7 +548,7 @@ func BenchmarkFabric16384(b *testing.B) {
 		}
 		assertEventBudget(b, rep, fabric16384EventBudget, i == b.N-1)
 		if i == b.N-1 {
-			qg, _ := rep.Scheme(PolicyQueueGossip)
+			qg, _ := rep.Scheme(sched.NameQueueGossip)
 			b.ReportMetric(float64(qg.Migrations), "qg_migrations")
 		}
 	}
@@ -566,17 +568,17 @@ func BenchmarkFabric16384Shards(b *testing.B) {
 		b.Fatal(err)
 	}
 	racks := (spec.Nodes + spec.Fabric.RackSize - 1) / spec.Fabric.RackSize
-	spec.Policies = []string{PolicyNoMigration, PolicyAMPoM, PolicyQueueGossip}
+	spec.Policies = []string{sched.NameNoMigration, sched.NameAMPoM, sched.NameQueueGossip}
 	spec = spec.Canonical()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rep, err := RunScenarioShards(spec, 42, racks)
+		rep, err := scenario.RunShards(spec, 42, racks)
 		if err != nil {
 			b.Fatal(err)
 		}
 		assertEventBudget(b, rep, fabric16384EventBudget, i == b.N-1)
 		if i == b.N-1 {
-			qg, _ := rep.Scheme(PolicyQueueGossip)
+			qg, _ := rep.Scheme(sched.NameQueueGossip)
 			b.ReportMetric(float64(qg.Migrations), "qg_migrations")
 			// The window scheduler's occupancy picture: how many lookahead
 			// windows the run advanced through, what fraction degenerated to

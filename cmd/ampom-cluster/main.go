@@ -120,6 +120,12 @@ func main() {
 		}
 		specs = []ampom.ScenarioSpec{spec}
 	}
+	if *nodes < 0 {
+		cli.Usage("-nodes %d: want a positive node count", *nodes)
+	}
+	if *procs < 0 {
+		cli.Usage("-procs %d: want a positive process count", *procs)
+	}
 	for i := range specs {
 		if *nodes > 0 {
 			specs[i].Nodes = *nodes

@@ -15,6 +15,7 @@ import (
 	"ampom"
 	"ampom/internal/cli"
 	"ampom/internal/clitest"
+	"ampom/internal/sched"
 )
 
 func TestSmokeList(t *testing.T) {
@@ -138,7 +139,7 @@ func TestSpecReportRoundTrip(t *testing.T) {
 	for _, p := range rep.Policies {
 		got[p.Policy] = true
 	}
-	for _, want := range []string{ampom.PolicyLoadVector, ampom.PolicyMemUsher} {
+	for _, want := range []string{sched.NameLoadVector, sched.NameMemUsher} {
 		if !got[want] {
 			t.Fatalf("report missing new policy %q (have %v)", want, got)
 		}
@@ -226,6 +227,17 @@ func TestSmokeGossipWindowOverride(t *testing.T) {
 	}
 	if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-scenario", "web-churn", "-gossip-window", "-3"); !strings.Contains(stderr, "gossip-window") {
 		t.Fatalf("negative window stderr:\n%s", stderr)
+	}
+}
+
+// TestSmokeNegativeSizeIsUsageError locks that a negative -nodes or
+// -procs override is rejected rather than silently running the preset at
+// its default size.
+func TestSmokeNegativeSizeIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-nodes", "-procs"} {
+		if _, stderr := clitest.RunExpect(t, cli.CodeUsage, "-scenario", "web-churn", flag, "-3"); !strings.Contains(stderr, flag+" -3") {
+			t.Fatalf("negative %s stderr:\n%s", flag, stderr)
+		}
 	}
 }
 

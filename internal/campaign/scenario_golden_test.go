@@ -7,6 +7,7 @@ import (
 
 	"ampom/internal/fabric"
 	"ampom/internal/scenario"
+	"ampom/internal/sched"
 )
 
 // These tests extend the campaign determinism guarantee to cluster
@@ -143,7 +144,7 @@ func TestFabricGoldenAcrossWorkers(t *testing.T) {
 			MeanFootprintMB: 32,
 			Fabric:          scenario.FabricSpec{Topology: kind, RackSize: 4},
 		}.Canonical()
-		if len(spec.Policies) != len(scenario.DefaultPolicies()) {
+		if len(spec.Policies) != len(sched.Names()) {
 			t.Fatalf("%s: spec runs %d policies, want the whole registry", topo, len(spec.Policies))
 		}
 		a, err := New(Options{BaseSeed: 7, Workers: 1}).RunScenario(ScenarioJob{Spec: spec})

@@ -69,17 +69,12 @@ func TestScale(t *testing.T) {
 func TestPCB(t *testing.T) {
 	eng := sim.New()
 	home := NewNode(eng, "home", 1)
-	away := NewNode(eng, "away", 1)
 	p := NewPCB(42, "job", home)
-	if p.Migrated() {
-		t.Fatal("fresh PCB claims migrated")
+	if p.PID != 42 || p.Name != "job" || p.Home != home || p.Current != home {
+		t.Fatalf("fresh PCB = %+v, want pid 42 running at home", p)
 	}
 	if p.State != ProcRunning {
 		t.Fatalf("state = %v", p.State)
-	}
-	p.Current = away
-	if !p.Migrated() {
-		t.Fatal("migrated PCB claims home")
 	}
 }
 

@@ -285,14 +285,6 @@ func (p *Prefetcher) NotePrefetched(n int) { p.prefetched += int64(n) }
 // Prefetched returns the cumulative number of prefetched pages.
 func (p *Prefetcher) Prefetched() int64 { return p.prefetched }
 
-// PrefetchedPerFault returns the Figure 8 statistic.
-func (p *Prefetcher) PrefetchedPerFault() float64 {
-	if p.faults == 0 {
-		return 0
-	}
-	return float64(p.prefetched) / float64(p.faults)
-}
-
 // Analyze runs the AMPoM analysis for the current window state and returns
 // the dependent zone. It is called at every page fault, after RecordFault.
 func (p *Prefetcher) Analyze(est Estimates) Analysis {

@@ -325,12 +325,8 @@ func TestPrefetchedAccounting(t *testing.T) {
 	if p.Prefetched() != 15 {
 		t.Fatalf("prefetched = %d", p.Prefetched())
 	}
-	if got := p.PrefetchedPerFault(); got != 7.5 {
-		t.Fatalf("per fault = %v", got)
-	}
-	empty := MustNew(paperCfg(), 1000)
-	if empty.PrefetchedPerFault() != 0 {
-		t.Fatal("zero-fault ratio should be 0")
+	if p.Faults() != 2 {
+		t.Fatalf("faults = %d", p.Faults())
 	}
 }
 

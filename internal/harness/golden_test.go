@@ -1,13 +1,15 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // These tests lock in the campaign determinism guarantee: the rendered
-// tables are byte-identical whatever the worker count, and across repeated
-// runs of the same configuration.
+// tables are byte-identical whatever the worker count, across repeated
+// runs of the same configuration, and to the checked-in golden.
 
 // renderAll renders every figure and ablation into one byte stream.
 func renderAll(m *Matrix) string {
@@ -25,6 +27,16 @@ func renderAll(m *Matrix) string {
 
 func goldenCfg(workers int) Config {
 	return Config{Scale: 16, Seed: 7, Workers: workers}
+}
+
+// readGolden returns a checked-in golden file from testdata.
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 func TestTable1DeterministicAcrossWorkers(t *testing.T) {
@@ -48,12 +60,17 @@ func TestFigure4DeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCampaignByteIdentical is the full guarantee: every figure and every
-// ablation table, sequential vs 8-way parallel vs a repeated parallel run.
+// ablation table, sequential vs the golden vs 8-way parallel vs a repeated
+// parallel run. The golden catches a change that moves every figure the
+// same way at every worker count.
 func TestCampaignByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign comparison in -short mode")
 	}
 	seq := renderAll(NewMatrix(goldenCfg(1)))
+	if want := readGolden(t, "campaign.golden"); seq != want {
+		t.Fatalf("sequential campaign output diverged from testdata/campaign.golden:\n--- got ---\n%s--- want ---\n%s", seq, want)
+	}
 	par := renderAll(NewMatrix(goldenCfg(8)))
 	if seq != par {
 		t.Fatal("campaign output differs between sequential and parallel execution")

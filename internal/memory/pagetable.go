@@ -85,14 +85,6 @@ func (t *Table) Set(p PageNum, l Loc) {
 	t.entries[p] = l
 }
 
-// Clone deep-copies the table under a new name; migration clones the
-// origin's table to create the migrant's MPT.
-func (t *Table) Clone(name string) *Table {
-	c := &Table{name: name, entries: make([]Loc, len(t.entries)), mapped: t.mapped}
-	copy(c.entries, t.entries)
-	return c
-}
-
 func (t *Table) check(p PageNum) {
 	if p < 0 || int64(p) >= int64(len(t.entries)) {
 		panic(fmt.Sprintf("memory: page %d outside table %q of %d entries", p, t.name, len(t.entries)))

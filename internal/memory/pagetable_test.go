@@ -34,19 +34,6 @@ func TestTableUnmappedInitial(t *testing.T) {
 	}
 }
 
-func TestTableClone(t *testing.T) {
-	tb := NewTable("orig", 10, LocOrigin)
-	tb.Set(3, LocMigrant)
-	c := tb.Clone("copy")
-	if c.Name() != "copy" || c.Loc(3) != LocMigrant || c.Mapped() != tb.Mapped() {
-		t.Fatal("clone mismatch")
-	}
-	c.Set(4, LocUnmapped)
-	if tb.Loc(4) != LocOrigin {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 func TestTableBoundsPanic(t *testing.T) {
 	tb := NewTable("t", 10, LocOrigin)
 	defer func() {

@@ -127,18 +127,16 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestQueueDelay checks that a message handed to a busy direction waits
+// for the link to free before it starts serialising.
 func TestQueueDelay(t *testing.T) {
 	p := Profile{BandwidthBps: 1e6, LatencyOneWay: 0}
-	eng, l, a, b, _ := testLink(p)
-	if d := l.QueueDelay(a); d != 0 {
-		t.Fatalf("idle queue delay = %v", d)
+	eng, l, a, _, _ := testLink(p)
+	if at := l.Send(a, Message{Size: 2e6}); at != simtime.Time(2*simtime.Second) { // idle: no wait
+		t.Fatalf("idle-link arrival = %v, want 2s", at)
 	}
-	l.Send(a, Message{Size: 2e6}) // 2 s
-	if d := l.QueueDelay(a); d != 2*simtime.Second {
-		t.Fatalf("queue delay = %v, want 2s", d)
-	}
-	if d := l.QueueDelay(b); d != 0 {
-		t.Fatalf("reverse queue delay = %v, want 0", d)
+	if at := l.Send(a, Message{Size: 1000}); at != simtime.Time(2*simtime.Second+simtime.Millisecond) {
+		t.Fatalf("queued arrival = %v, want 2s queue + 1ms serialisation", at)
 	}
 	eng.RunAll()
 }

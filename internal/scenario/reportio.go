@@ -20,7 +20,6 @@ import (
 	"io"
 	"maps"
 	"math"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -126,15 +125,6 @@ func DecodeReports(data []byte) ([]*Report, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// LoadReports reads a report artefact from disk.
-func LoadReports(path string) ([]*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return DecodeReports(data)
 }
 
 // jsonFieldName extracts the wire name of a struct field.

@@ -18,11 +18,6 @@ import (
 	"ampom/internal/simtime"
 )
 
-// DefaultPolicies lists every registered balancing policy in registry
-// order — the set a canonical Spec with no explicit Policies runs under.
-// The no-migration baseline is the row slowdown ratios divide by.
-func DefaultPolicies() []string { return sched.Names() }
-
 // procTemplate is one pre-drawn process. Templates are drawn once per
 // (Spec, seed) and replayed identically under every policy, so cross-policy
 // comparisons hold the workload fixed — the same discipline the campaign

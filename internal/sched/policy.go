@@ -557,16 +557,6 @@ func Names() []string {
 	return out
 }
 
-// All returns every registered policy in sorted-name order.
-func All() []BalancerPolicy {
-	names := Names()
-	out := make([]BalancerPolicy, len(names))
-	for i, n := range names {
-		out[i], _ = Lookup(n)
-	}
-	return out
-}
-
 // ByNames resolves names to registered policies, preserving input order.
 func ByNames(names []string) ([]BalancerPolicy, error) {
 	out := make([]BalancerPolicy, len(names))

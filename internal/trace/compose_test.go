@@ -190,22 +190,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	s := NewSliceSource([]Ref{{Page: 1}, {Page: 2}})
-	r, ok := s.Next()
-	if !ok || r.Page != 1 {
-		t.Fatal("first ref wrong")
-	}
-	s.Next()
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted source returned ok")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Page != 1 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestCollectMax(t *testing.T) {
 	src := Sequential(0, 100, 0, false)()
 	refs := Collect(src, 10)
