@@ -87,12 +87,15 @@ bench-balance:
 
 # The fault path layer by layer, with -benchmem: BenchmarkAnalyze's
 # readahead/stream/multistream windows (the AMPoM per-fault analysis,
-# which must report 0 allocs/op; TestAnalyzeZeroAllocs enforces it) and
+# which must report 0 allocs/op; TestAnalyzeZeroAllocs enforces it),
+# BenchmarkQueue (steady-state event-queue pop+push at 16, 1024 and 65536
+# pending events, also 0 allocs/op; TestQueueZeroAllocs enforces it) and
 # BenchmarkMigrationRun (one small AMPoM experiment through migrate,
 # paging and memory). Fixed iteration counts keep the work identical
 # from run to run.
 bench-core:
 	$(GO) test -run '^$$' -bench '^BenchmarkAnalyze$$' -benchtime 200000x -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkQueue$$' -benchtime 1000000x -benchmem ./internal/eventq
 	$(GO) test -run '^$$' -bench '^BenchmarkMigrationRun$$' -benchtime 20x -benchmem .
 
 # BenchmarkFabric{512,512Failures,4096,16384,16384Shards} run the rack-farm

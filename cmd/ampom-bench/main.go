@@ -34,6 +34,9 @@ func main() {
 	progress := flag.Bool("progress", false, "report campaign progress and ETA on stderr")
 	cf := cli.AddCampaignFlags(flag.CommandLine)
 	flag.Parse()
+	if *scale < 1 {
+		cli.Usage("-scale %d: want a divisor of at least 1", *scale)
+	}
 
 	cfg := ampom.CampaignConfig{Scale: *scale, Seed: cf.Seed, Workers: cf.Workers()}
 	if *progress {

@@ -28,3 +28,14 @@ func TestSmokeUnknownFigureIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+// TestSmokeScaleBelowOneIsUsageError: a non-positive divisor is rejected
+// before any experiment runs, instead of silently running paper scale.
+func TestSmokeScaleBelowOneIsUsageError(t *testing.T) {
+	for _, scale := range []string{"0", "-2"} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-scale", scale, "-figure", "table1")
+		if !strings.Contains(stderr, "-scale") {
+			t.Fatalf("-scale %s: unexpected stderr:\n%s", scale, stderr)
+		}
+	}
+}

@@ -48,9 +48,18 @@ func main() {
 		fatal("unknown kernel %q", *kernel)
 	}
 
-	net := ampom.FastEthernet()
-	if strings.HasPrefix(strings.ToLower(*network), "broad") {
+	var net ampom.NetworkProfile
+	switch n := strings.ToLower(*network); {
+	case n == "fast":
+		net = ampom.FastEthernet()
+	case strings.HasPrefix(n, "broad"):
 		net = ampom.Broadband()
+	default:
+		fatal("unknown network %q (want fast or broadband)", *network)
+	}
+	// The negated test also rejects NaN.
+	if !(*load >= 0 && *load <= 0.95) {
+		fatal("-load %v: want a fraction in [0, 0.95]", *load)
 	}
 
 	eng := ampom.NewCampaignEngine(ampom.CampaignOptions{Workers: cf.Workers(), BaseSeed: cf.Seed})

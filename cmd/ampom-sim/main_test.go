@@ -30,3 +30,21 @@ func TestSmokeUnknownKernelIsUsageError(t *testing.T) {
 		t.Fatalf("unexpected stderr:\n%s", stderr)
 	}
 }
+
+func TestSmokeUnknownNetworkIsUsageError(t *testing.T) {
+	_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-network", "foo")
+	if !strings.Contains(stderr, "unknown network") {
+		t.Fatalf("unexpected stderr:\n%s", stderr)
+	}
+}
+
+// TestSmokeBadLoadIsUsageError: a load past the 0.95 cap is rejected, not
+// clamped, and NaN is rejected, not run with a NaN bandwidth.
+func TestSmokeBadLoadIsUsageError(t *testing.T) {
+	for _, load := range []string{"2", "NaN", "-0.1"} {
+		_, stderr := clitest.RunExpect(t, cli.CodeUsage, "-load", load, "-mb", "8")
+		if !strings.Contains(stderr, "-load") {
+			t.Fatalf("-load %s: unexpected stderr:\n%s", load, stderr)
+		}
+	}
+}

@@ -8,120 +8,90 @@
 // PushedAt is what lets those merge into the exact slot the sequential
 // schedule would have given them. Stable tie-breaking is what makes
 // simulations deterministic.
+//
+// Events are stored by value, so pushing allocates nothing beyond slice
+// growth. An event is named only by the sequence number Push returns.
 package eventq
 
 import "ampom/internal/simtime"
 
-// Event is a scheduled callback. Events are allocated by the queue and
-// reachable through the handle returned by Push, which supports
-// cancellation.
+// Event is a scheduled callback.
 type Event struct {
 	At       simtime.Time // firing instant
 	PushedAt simtime.Time // virtual instant the push happened; breaks At ties
 	Seq      uint64       // insertion order, breaks (At, PushedAt) ties
-	Fn       func()       // callback; nil after cancellation
-
-	index int // heap index, or a sentinel once removed
+	Fn       func()       // callback
 }
-
-// Sentinel index values marking how an event left the heap. Both are
-// negative so the "still pending" test stays index >= 0.
-const (
-	firedIndex     = -1
-	cancelledIndex = -2
-)
-
-// Fired reports whether the event was popped from the queue (and so has
-// run, or is about to). A cancelled event never fires.
-func (e *Event) Fired() bool { return e.index == firedIndex }
-
-// Cancelled reports whether the event was removed by Cancel before firing.
-// An event that already fired is not cancelled; see Fired.
-func (e *Event) Cancelled() bool { return e.index == cancelledIndex }
-
-// Done reports whether the event is no longer pending, for either reason.
-func (e *Event) Done() bool { return e.index < 0 }
 
 // Queue is a time-ordered event set. The zero value is ready to use.
 // Queue is not safe for concurrent use; the simulation engine owns it.
 type Queue struct {
-	heap []*Event
+	heap []Event
 	seq  uint64
 }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// Push schedules fn to fire at instant at and returns a handle that can be
-// passed to Cancel. pushedAt is the virtual instant the scheduling happens
+// Push schedules fn to fire at instant at and returns its sequence number,
+// which Cancel accepts. pushedAt is the virtual instant the scheduling happens
 // at (the engine clock of the pusher); it orders coincident firings ahead
 // of the insertion sequence.
-func (q *Queue) Push(at, pushedAt simtime.Time, fn func()) *Event {
-	e := &Event{At: at, PushedAt: pushedAt, Seq: q.seq, Fn: fn}
+func (q *Queue) Push(at, pushedAt simtime.Time, fn func()) uint64 {
+	q.heap = append(q.heap, Event{At: at, PushedAt: pushedAt, Seq: q.seq, Fn: fn})
 	q.seq++
-	e.index = len(q.heap)
-	q.heap = append(q.heap, e)
-	q.up(e.index)
-	return e
+	q.up(len(q.heap) - 1)
+	return q.seq - 1
 }
 
-// Peek returns the earliest pending event without removing it, or nil if the
+// Peek returns the earliest pending event without removing it; ok is false
+// if the queue is empty.
+func (q *Queue) Peek() (e Event, ok bool) {
+	if len(q.heap) == 0 {
+		return Event{}, false
+	}
+	return q.heap[0], true
+}
+
+// Pop removes and returns the earliest pending event; ok is false if the
 // queue is empty.
-func (q *Queue) Peek() *Event {
+func (q *Queue) Pop() (e Event, ok bool) {
 	if len(q.heap) == 0 {
-		return nil
+		return Event{}, false
 	}
-	return q.heap[0]
+	e = q.heap[0]
+	q.remove(0)
+	return e, true
 }
 
-// Pop removes and returns the earliest pending event, or nil if the queue is
-// empty.
-func (q *Queue) Pop() *Event {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	e := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap[0].index = 0
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if len(q.heap) > 0 {
-		q.down(0)
-	}
-	e.index = firedIndex
-	return e
-}
-
-// Cancel removes a pending event so it will never fire. Cancelling an event
-// that already fired or was already cancelled is a no-op. It returns whether
-// the event was actually removed.
-func (q *Queue) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
-		return false
-	}
-	i := e.index
-	last := len(q.heap) - 1
-	if i != last {
-		q.heap[i] = q.heap[last]
-		q.heap[i].index = i
-	}
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if i < len(q.heap) {
-		if !q.up(i) {
-			q.down(i)
+// Cancel removes the pending event with sequence number seq so it will never
+// fire. Cancelling an event that already fired or was already cancelled is a
+// no-op: sequence numbers are never reused. It returns whether the event was
+// actually removed. The search is linear; only a stopped ticker cancels.
+func (q *Queue) Cancel(seq uint64) bool {
+	for i := range q.heap {
+		if q.heap[i].Seq == seq {
+			q.remove(i)
+			return true
 		}
 	}
-	e.index = cancelledIndex
-	e.Fn = nil
-	return true
+	return false
 }
 
-// less orders events by firing time, then by scheduling instant, then by
+// remove deletes heap slot i, filling it with the last event.
+func (q *Queue) remove(i int) {
+	last := len(q.heap) - 1
+	q.heap[i] = q.heap[last]
+	q.heap[last] = Event{} // drop the callback for the collector
+	q.heap = q.heap[:last]
+	if i < last && !q.up(i) {
+		q.down(i)
+	}
+}
+
+// before orders events by firing time, then by scheduling instant, then by
 // insertion sequence.
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
+func (a *Event) before(b *Event) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
@@ -131,44 +101,39 @@ func (q *Queue) less(i, j int) bool {
 	return a.Seq < b.Seq
 }
 
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
-// up restores the heap property walking towards the root. It reports whether
-// the element moved.
+// up restores the heap property walking towards the root, moving parents
+// into the hole instead of swapping. It reports whether the element moved.
 func (q *Queue) up(i int) bool {
-	moved := false
+	h, e, start := q.heap, q.heap[i], i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
-		moved = true
 	}
-	return moved
+	h[i] = e
+	return i != start
 }
 
 // down restores the heap property walking towards the leaves.
 func (q *Queue) down(i int) {
-	n := len(q.heap)
+	h, e, n := q.heap, q.heap[i], len(q.heap)
 	for {
 		left := 2*i + 1
 		if left >= n {
-			return
+			break
 		}
 		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := left + 1; right < n && h[right].before(&h[left]) {
 			smallest = right
 		}
-		if !q.less(smallest, i) {
-			return
+		if !h[smallest].before(&e) {
+			break
 		}
-		q.swap(i, smallest)
+		h[i] = h[smallest]
 		i = smallest
 	}
+	h[i] = e
 }

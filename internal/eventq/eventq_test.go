@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -15,13 +16,13 @@ func TestPopOrder(t *testing.T) {
 		q.Push(at, 0, func() {})
 	}
 	for want := simtime.Time(1); want <= 5; want++ {
-		e := q.Pop()
-		if e == nil || e.At != want {
-			t.Fatalf("pop = %v, want %v", e, want)
+		e, ok := q.Pop()
+		if !ok || e.At != want {
+			t.Fatalf("pop = %v (ok=%v), want %v", e.At, ok, want)
 		}
 	}
-	if q.Pop() != nil {
-		t.Fatal("pop from empty queue should be nil")
+	if _, ok := q.Pop(); ok {
+		t.Fatal("pop from empty queue reported an event")
 	}
 }
 
@@ -29,12 +30,11 @@ func TestTieBreakBySequence(t *testing.T) {
 	var q Queue
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		q.Push(7, 0, func() { order = append(order, i) })
 	}
 	for {
-		e := q.Pop()
-		if e == nil {
+		e, ok := q.Pop()
+		if !ok {
 			break
 		}
 		e.Fn()
@@ -48,13 +48,13 @@ func TestTieBreakBySequence(t *testing.T) {
 
 func TestPeek(t *testing.T) {
 	var q Queue
-	if q.Peek() != nil {
-		t.Fatal("peek on empty queue should be nil")
+	if _, ok := q.Peek(); ok {
+		t.Fatal("peek on empty queue reported an event")
 	}
 	q.Push(9, 0, func() {})
-	e := q.Push(2, 0, func() {})
-	if got := q.Peek(); got != e {
-		t.Fatalf("peek = %v, want earliest", got)
+	seq := q.Push(2, 0, func() {})
+	if got, ok := q.Peek(); !ok || got.Seq != seq || got.At != 2 {
+		t.Fatalf("peek = %+v (ok=%v), want the earliest event (seq %d)", got, ok, seq)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("len = %d, want 2 (peek must not remove)", q.Len())
@@ -72,57 +72,17 @@ func TestCancel(t *testing.T) {
 	if q.Cancel(b) {
 		t.Fatal("second cancel returned true")
 	}
-	if !b.Cancelled() {
-		t.Fatal("event not marked cancelled")
+	if got, _ := q.Pop(); got.Seq != a {
+		t.Fatalf("pop = seq %d, want a (%d)", got.Seq, a)
 	}
-	if got := q.Pop(); got != a {
-		t.Fatalf("pop = %v, want a", got)
-	}
-	if got := q.Pop(); got != c {
-		t.Fatalf("pop = %v, want c", got)
+	if got, _ := q.Pop(); got.Seq != c {
+		t.Fatalf("pop = seq %d, want c (%d)", got.Seq, c)
 	}
 	if q.Cancel(a) {
 		t.Fatal("cancel of popped event returned true")
 	}
-	if q.Cancel(nil) {
-		t.Fatal("cancel(nil) returned true")
-	}
-}
-
-// TestLifecycleAccessors pins the Fired/Cancelled/Done state machine: a
-// pending event reports none, a popped event reports fired (not
-// cancelled), a cancelled event reports cancelled (not fired).
-func TestLifecycleAccessors(t *testing.T) {
-	var q Queue
-	fired := q.Push(1, 0, func() {})
-	cancelled := q.Push(2, 0, func() {})
-	pending := q.Push(3, 0, func() {})
-
-	for _, e := range []*Event{fired, cancelled, pending} {
-		if e.Fired() || e.Cancelled() || e.Done() {
-			t.Fatalf("pending event reports fired=%v cancelled=%v done=%v",
-				e.Fired(), e.Cancelled(), e.Done())
-		}
-	}
-
-	if got := q.Pop(); got != fired {
-		t.Fatalf("pop = %v, want first event", got)
-	}
-	if !fired.Fired() || fired.Cancelled() || !fired.Done() {
-		t.Fatalf("popped event reports fired=%v cancelled=%v done=%v, want true/false/true",
-			fired.Fired(), fired.Cancelled(), fired.Done())
-	}
-	if fired.Fn == nil {
-		t.Fatal("pop cleared Fn; callers run the callback through the returned handle")
-	}
-
-	q.Cancel(cancelled)
-	if cancelled.Fired() || !cancelled.Cancelled() || !cancelled.Done() {
-		t.Fatalf("cancelled event reports fired=%v cancelled=%v done=%v, want false/true/true",
-			cancelled.Fired(), cancelled.Cancelled(), cancelled.Done())
-	}
-	if cancelled.Fn != nil {
-		t.Fatal("cancel left Fn set")
+	if q.Cancel(c + 1) {
+		t.Fatal("cancel of a never-issued sequence number returned true")
 	}
 }
 
@@ -132,7 +92,7 @@ func TestCancelHead(t *testing.T) {
 	q.Push(2, 0, func() {})
 	q.Push(3, 0, func() {})
 	q.Cancel(head)
-	if got := q.Pop(); got.At != 2 {
+	if got, _ := q.Pop(); got.At != 2 {
 		t.Fatalf("after cancelling head, pop.At = %v, want 2", got.At)
 	}
 }
@@ -174,8 +134,8 @@ func TestPopsSortedProperty(t *testing.T) {
 		var prevAt simtime.Time = -1
 		var prevSeq uint64
 		for {
-			e := q.Pop()
-			if e == nil {
+			e, ok := q.Pop()
+			if !ok {
 				break
 			}
 			if e.At < prevAt {
@@ -198,28 +158,84 @@ func TestPopsSortedProperty(t *testing.T) {
 func TestCancelRandomProperty(t *testing.T) {
 	f := func(raw []uint16, mask uint64) bool {
 		var q Queue
-		var events []*Event
-		for _, r := range raw {
-			events = append(events, q.Push(simtime.Time(r), 0, func() {}))
+		seqs := make([]uint64, len(raw))
+		for i, r := range raw {
+			seqs[i] = q.Push(simtime.Time(r), 0, func() {})
 		}
 		var survivors []simtime.Time
-		for i, e := range events {
+		for i, seq := range seqs {
 			if mask&(1<<(uint(i)%64)) != 0 && i%3 == 0 {
-				q.Cancel(e)
+				if !q.Cancel(seq) {
+					return false
+				}
 			} else {
-				survivors = append(survivors, e.At)
+				survivors = append(survivors, simtime.Time(raw[i]))
 			}
 		}
 		sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 		for _, want := range survivors {
-			e := q.Pop()
-			if e == nil || e.At != want {
+			e, ok := q.Pop()
+			if !ok || e.At != want {
 				return false
 			}
 		}
-		return q.Pop() == nil
+		_, ok := q.Pop()
+		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// steadyQueue returns a queue holding n pending events at pseudo-random
+// instants, and the generator state to continue the sequence with.
+func steadyQueue(n int) (*Queue, uint64) {
+	q := &Queue{}
+	x := uint64(1)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		q.Push(simtime.Time(x>>40), 0, noop)
+	}
+	return q, x
+}
+
+var noop = func() {}
+
+// TestQueueZeroAllocs pins the steady state at zero allocations: once the
+// heap has grown to its working size, pop-then-push and push-then-cancel
+// reuse its storage.
+func TestQueueZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	q, _ := steadyQueue(1024)
+	popPush := func() {
+		e, _ := q.Pop()
+		q.Push(e.At+simtime.Time(e.Seq%977), e.At, e.Fn)
+	}
+	if got := testing.AllocsPerRun(1000, popPush); got != 0 {
+		t.Errorf("pop+push allocates %v times per op, want 0", got)
+	}
+	pushCancel := func() { q.Cancel(q.Push(1<<50, 0, noop)) }
+	if got := testing.AllocsPerRun(1000, pushCancel); got != 0 {
+		t.Errorf("push+cancel allocates %v times per op, want 0", got)
+	}
+}
+
+// BenchmarkQueue measures the steady-state event-queue operation of every
+// simulation: pop the earliest of n pending events and push its successor
+// a pseudo-random delay later, so the heap size stays at n.
+func BenchmarkQueue(b *testing.B) {
+	for _, n := range []int{16, 1024, 65536} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			q, x := steadyQueue(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, _ := q.Pop()
+				x = x*6364136223846793005 + 1442695040888963407
+				q.Push(e.At+simtime.Time(x>>48), e.At, e.Fn)
+			}
+		})
 	}
 }

@@ -54,25 +54,30 @@ func (h *refHeap) Pop() any {
 // divergence in lengths, pop order or cancel outcomes. The byte stream is
 // consumed three bytes per operation: opcode, then two operands (firing
 // time and scheduling instant for pushes — deliberately unordered, the
-// queue is a plain priority set — or a handle selector for cancels).
+// queue is a plain priority set — or a 16-bit selector for cancels). A
+// cancel opcode with bit 2 clear names an issued sequence number (the
+// selector modulo the pushes so far), live or already gone; with bit 2
+// set it names one not issued yet.
 func FuzzQueueVsHeap(f *testing.F) {
 	// Pops interleaved with pushes.
 	f.Add([]byte{0, 5, 0, 0, 3, 0, 2, 0, 0, 0, 1, 0, 2, 0, 0, 2, 0, 0})
-	// Cancel of the last heap element (selector far past the live count
-	// wraps onto the newest handle).
+	// A selector far past the push count wraps (65535 mod 3 = 0) onto
+	// the oldest sequence number, here the head.
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 3, 255, 255, 2, 0, 0})
 	// Cancel of the head while later, larger elements must sift down.
 	f.Add([]byte{0, 9, 0, 0, 1, 0, 0, 8, 0, 0, 7, 0, 3, 0, 1, 2, 0, 0, 2, 0, 0})
 	// Double cancel and cancel-after-pop: both must agree on "false".
 	f.Add([]byte{0, 4, 0, 3, 0, 0, 3, 0, 0, 0, 2, 0, 2, 0, 0, 3, 0, 0})
+	// Cancel of the last heap element: the newest of three ordered pushes.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 3, 0, 2, 2, 0, 0})
+	// Cancel of sequence numbers not issued yet, before and after pushes.
+	f.Add([]byte{7, 0, 0, 0, 2, 0, 7, 0, 0, 7, 0, 9, 2, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
-			q       Queue
-			ref     refHeap
-			handles []*Event    // every event ever pushed, in push order
-			refs    []*refEvent // the reference twin of each handle
-			seq     uint64
+			q    Queue
+			ref  refHeap
+			refs []*refEvent // the reference twin of each pushed event, by sequence number
 		)
 		for len(data) >= 3 {
 			op, a, b := data[0], data[1], data[2]
@@ -81,51 +86,44 @@ func FuzzQueueVsHeap(f *testing.F) {
 			case 0, 1: // push — weighted so schedules actually grow
 				at := simtime.Time(a % 64)
 				pushedAt := simtime.Time(b % 16) // coarse, to force At+PushedAt ties
-				r := &refEvent{at: at, pushedAt: pushedAt, seq: seq}
-				seq++
-				handles = append(handles, q.Push(at, pushedAt, func() {}))
+				r := &refEvent{at: at, pushedAt: pushedAt, seq: uint64(len(refs))}
+				if seq := q.Push(at, pushedAt, func() {}); seq != r.seq {
+					t.Fatalf("push returned seq %d, want %d", seq, r.seq)
+				}
 				heap.Push(&ref, r)
 				refs = append(refs, r)
 			case 2: // pop
-				got := q.Pop()
+				got, ok := q.Pop()
 				if len(ref) == 0 {
-					if got != nil {
+					if ok {
 						t.Fatalf("pop: queue returned (at=%v seq=%d), reference empty", got.At, got.Seq)
 					}
 					continue
 				}
 				want := heap.Pop(&ref).(*refEvent)
-				if got == nil {
+				if !ok {
 					t.Fatalf("pop: queue empty, reference has (at=%v seq=%d)", want.at, want.seq)
 				}
-				if got.At != want.at || got.Seq != want.seq {
+				if got.At != want.at || got.PushedAt != want.pushedAt || got.Seq != want.seq {
 					t.Fatalf("pop: queue (at=%v seq=%d), reference (at=%v seq=%d)",
 						got.At, got.Seq, want.at, want.seq)
 				}
-				if !got.Fired() || got.Cancelled() {
-					t.Fatalf("popped event: Fired=%v Cancelled=%v, want true/false",
-						got.Fired(), got.Cancelled())
-				}
-			case 3: // cancel an arbitrary past handle (possibly already gone)
-				if len(handles) == 0 {
-					if q.Cancel(nil) {
-						t.Fatal("Cancel(nil) returned true")
+			case 3: // cancel an issued (possibly already gone) or unissued seq
+				sel := uint64(a)<<8 | uint64(b)
+				issued := uint64(len(refs))
+				var seq uint64
+				want := false
+				if op&4 != 0 || issued == 0 {
+					seq = issued + sel
+				} else {
+					seq = sel % issued
+					if r := refs[seq]; r.index >= 0 {
+						heap.Remove(&ref, r.index)
+						want = true
 					}
-					continue
 				}
-				i := (int(a)<<8 | int(b)) % len(handles)
-				e, r := handles[i], refs[i]
-				got := q.Cancel(e)
-				want := r.index >= 0
-				if want {
-					heap.Remove(&ref, r.index)
-					r.index = -1
-				}
-				if got != want {
-					t.Fatalf("cancel handle %d: queue=%v, reference=%v", i, got, want)
-				}
-				if got && !e.Cancelled() {
-					t.Fatal("successful Cancel left Cancelled() false")
+				if got := q.Cancel(seq); got != want {
+					t.Fatalf("cancel seq %d: queue=%v, reference=%v", seq, got, want)
 				}
 			}
 			if q.Len() != len(ref) {
@@ -134,16 +132,17 @@ func FuzzQueueVsHeap(f *testing.F) {
 		}
 		// Drain both; the tails must agree element for element.
 		for {
-			got := q.Pop()
+			got, ok := q.Pop()
 			if len(ref) == 0 {
-				if got != nil {
+				if ok {
 					t.Fatalf("drain: queue returned (at=%v seq=%d), reference empty", got.At, got.Seq)
 				}
 				return
 			}
 			want := heap.Pop(&ref).(*refEvent)
-			if got == nil || got.At != want.at || got.Seq != want.seq {
-				t.Fatalf("drain: queue %v, reference (at=%v seq=%d)", got, want.at, want.seq)
+			if !ok || got.At != want.at || got.Seq != want.seq {
+				t.Fatalf("drain: queue (at=%v seq=%d ok=%v), reference (at=%v seq=%d)",
+					got.At, got.Seq, ok, want.at, want.seq)
 			}
 		}
 	})

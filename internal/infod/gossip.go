@@ -340,9 +340,7 @@ type Gossip struct {
 	send func(dst int, m netmodel.Message)
 	rng  *prng.Source
 
-	probe      func() LoadSample
-	ticker     *sim.Ticker
-	pullTicker *sim.Ticker
+	probe func() LoadSample
 
 	// self is the daemon's own latest sample; cells holds only origins
 	// actually heard from. ring is a circular buffer of origin ids in
@@ -402,26 +400,12 @@ func (g *Gossip) ID() int { return g.id }
 // SetProbe installs the local load probe sampled at every push round.
 func (g *Gossip) SetProbe(f func() LoadSample) { g.probe = f }
 
-// Start begins periodic pushes (and, unless disabled, anti-entropy pulls).
+// Start begins periodic pushes (and, unless disabled, anti-entropy pulls)
+// for the rest of the run. Call it once.
 func (g *Gossip) Start() {
-	if g.ticker != nil {
-		return
-	}
-	g.ticker = sim.NewTicker(g.eng, g.cfg.Period, g.push)
+	sim.NewTicker(g.eng, g.cfg.Period, g.push)
 	if g.cfg.PullPeriod > 0 {
-		g.pullTicker = sim.NewTicker(g.eng, g.cfg.PullPeriod, g.pull)
-	}
-}
-
-// Stop halts periodic pushes and pulls.
-func (g *Gossip) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
-	if g.pullTicker != nil {
-		g.pullTicker.Stop()
-		g.pullTicker = nil
+		sim.NewTicker(g.eng, g.cfg.PullPeriod, g.pull)
 	}
 }
 

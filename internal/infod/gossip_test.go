@@ -97,20 +97,6 @@ func TestGossipEstimatesAndBandwidth(t *testing.T) {
 	}
 }
 
-func TestGossipStopHaltsPushes(t *testing.T) {
-	eng, daemons := gossipLine(t, 3, 1, simtime.Millisecond)
-	eng.Run(simtime.Time(5 * simtime.Second))
-	for _, g := range daemons {
-		g.Stop()
-	}
-	before := eng.Processed
-	eng.Run(simtime.Time(10 * simtime.Second))
-	// Only already-queued sends drain; no new periodic work appears.
-	if eng.Processed > before+64 {
-		t.Fatalf("stopped daemons still generated %d events", eng.Processed-before)
-	}
-}
-
 // gossipMesh wires n daemons into a full mesh with direct delivery after a
 // fixed delay, letting the test intercept (and optionally drop) every
 // message. cfg is used as given, so tests can pin windows, ages and pulls.
@@ -262,20 +248,22 @@ func TestGossipWindowBoundsWire(t *testing.T) {
 // unbounded staleness to policies forever — while a negative MaxAge
 // explicitly disables expiry.
 func TestGossipLocalReadsExpire(t *testing.T) {
+	const cutAt = simtime.Time(10 * simtime.Second)
 	run := func(maxAge simtime.Duration) []*Gossip {
 		cfg := GossipConfig{Period: simtime.Second, Fanout: 2, MaxAge: maxAge}
-		eng, daemons := gossipMesh(t, 4, cfg, simtime.Millisecond, nil)
-		eng.Run(simtime.Time(10 * simtime.Second))
+		var eng *sim.Engine
+		eng, daemons := gossipMesh(t, 4, cfg, simtime.Millisecond,
+			func(src, dst int, m netmodel.Message) bool { return eng.Now() < cutAt })
+		eng.Run(cutAt)
 		for i, g := range daemons {
 			for o := 0; o < 4; o++ {
 				if o != i && !g.Entry(o).Known {
 					t.Fatalf("daemon %d missing origin %d while gossiping", i, o)
 				}
 			}
-			g.Stop()
 		}
-		// Idle far past MaxAge with every daemon stopped: nothing refreshes.
-		eng.At(simtime.Time(30*simtime.Second), func() {})
+		// Run far past MaxAge with every message dropped: the daemons keep
+		// ticking, but nothing refreshes another origin's entry.
 		eng.Run(simtime.Time(30 * simtime.Second))
 		return daemons
 	}

@@ -169,9 +169,9 @@ func NewLink(eng *sim.Engine, profile Profile, a, b *NIC) *Link {
 func (l *Link) Profile() Profile { return l.profile }
 
 // SetBackgroundLoad sets the fraction of bandwidth consumed by competing
-// traffic, in [0, 0.95].
+// traffic, clamped to [0, 0.95]; NaN counts as no load.
 func (l *Link) SetBackgroundLoad(f float64) {
-	if f < 0 {
+	if !(f >= 0) {
 		f = 0
 	}
 	if f > 0.95 {

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -158,9 +159,11 @@ func TestBackgroundLoadClamped(t *testing.T) {
 	if bw := l.effectiveBandwidth(); bw < 0.04e6 || bw > 0.06e6 {
 		t.Fatalf("effective bandwidth = %v, want 5%% of nominal", bw)
 	}
-	l.SetBackgroundLoad(-1)
-	if bw := l.effectiveBandwidth(); bw != 1e6 {
-		t.Fatalf("effective bandwidth = %v, want nominal", bw)
+	for _, f := range []float64{-1, math.NaN()} {
+		l.SetBackgroundLoad(f)
+		if bw := l.effectiveBandwidth(); bw != 1e6 {
+			t.Fatalf("load %v: effective bandwidth = %v, want nominal", f, bw)
+		}
 	}
 }
 

@@ -43,12 +43,15 @@ type PageRequest struct {
 }
 
 // WireSize returns the request's bytes on the wire.
-func (r PageRequest) WireSize() int64 {
-	n := int64(len(r.Prefetch))
+func (r PageRequest) WireSize() int64 { return ReqHeaderBytes + int64(r.pages())*ReqPerPageBytes }
+
+// pages counts the page identifiers the request carries.
+func (r PageRequest) pages() int {
+	n := len(r.Prefetch)
 	if r.Demand != NoDemand {
 		n++
 	}
-	return ReqHeaderBytes + n*ReqPerPageBytes
+	return n
 }
 
 // PageReply carries one page of data to the migrant.
@@ -100,16 +103,9 @@ type Deputy struct {
 	tables *memory.TablePair
 
 	availableAfter simtime.Time
-	gated          []gatedRequest
+	gated          []PageRequest // parked until the backing store is ready
 
 	Stats DeputyStats
-}
-
-// gatedRequest is a request parked until the backing store is ready.
-type gatedRequest struct {
-	seq    uint64
-	pages  []memory.PageNum
-	demand memory.PageNum // NoDemand when absent
 }
 
 // SetAvailableAfter gates page service until instant t: requests arriving
@@ -121,10 +117,8 @@ func (d *Deputy) SetAvailableAfter(t simtime.Time) {
 	if d.node.Eng.Now() < t {
 		return
 	}
-	for _, g := range d.gated {
-		g := g
-		cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(len(g.pages)))
-		d.node.Eng.Schedule(cost, func() { d.serve(g.seq, g.pages, g.demand) })
+	for _, req := range d.gated {
+		d.schedule(req)
 	}
 	d.gated = nil
 }
@@ -143,44 +137,50 @@ func (d *Deputy) handle(payload any) bool {
 		return false
 	}
 	d.Stats.Requests++
-
-	// The demand page is served first — the migrant is stalled on it — and
-	// the dependent zone streams behind it.
-	pages := make([]memory.PageNum, 0, len(req.Prefetch)+1)
-	if req.Demand != NoDemand {
-		pages = append(pages, req.Demand)
-	}
-	pages = append(pages, req.Prefetch...)
-
 	if d.node.Eng.Now() < d.availableAfter {
-		d.gated = append(d.gated, gatedRequest{seq: req.Seq, pages: pages, demand: req.Demand})
+		d.gated = append(d.gated, req)
 		return true
 	}
-	cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(len(pages)))
-	d.node.Eng.Schedule(cost, func() { d.serve(req.Seq, pages, req.Demand) })
+	d.schedule(req)
 	return true
 }
 
-// serve sends pages in order; demand is the request's demand page, or
-// NoDemand, which matches no page.
-func (d *Deputy) serve(seq uint64, pages []memory.PageNum, demand memory.PageNum) {
-	for _, p := range pages {
-		if d.tables.HPT.Loc(p) == memory.LocUnmapped {
-			// Already transferred (or never stored) — a benign race when a
-			// demand fault and an in-flight prefetch cross on the wire.
-			d.Stats.Skipped++
-			continue
-		}
-		if err := d.tables.TransferToMigrant(p); err != nil {
-			panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
-		}
-		rep := PageReply{Seq: seq, Page: p, Demand: p == demand}
-		d.Stats.BytesSent += rep.WireSize()
-		if rep.Demand {
-			d.Stats.DemandServed++
-		} else {
-			d.Stats.PrefetchServed++
-		}
-		d.link.Send(d.node.NIC, netmodel.Message{Size: rep.WireSize(), Payload: rep})
+// schedule charges the deputy's CPU time for looking up req's pages, then
+// serves them.
+func (d *Deputy) schedule(req PageRequest) {
+	cost := d.node.Scale(d.cfg.ServeBase + d.cfg.ServePerPage*simtime.Duration(req.pages()))
+	d.node.Eng.Schedule(cost, func() { d.serve(req) })
+}
+
+// serve sends the demand page first — the migrant is stalled on it — and
+// the dependent zone streams behind it. The pager never lists the demand
+// page among the prefetches.
+func (d *Deputy) serve(req PageRequest) {
+	if req.Demand != NoDemand {
+		d.send(req.Seq, req.Demand, true)
 	}
+	for _, p := range req.Prefetch {
+		d.send(req.Seq, p, false)
+	}
+}
+
+// send transfers page p to the migrant as one reply of request seq.
+func (d *Deputy) send(seq uint64, p memory.PageNum, demand bool) {
+	if d.tables.HPT.Loc(p) == memory.LocUnmapped {
+		// Already transferred (or never stored) — a benign race when a
+		// demand fault and an in-flight prefetch cross on the wire.
+		d.Stats.Skipped++
+		return
+	}
+	if err := d.tables.TransferToMigrant(p); err != nil {
+		panic(fmt.Sprintf("paging: deputy serving page %d: %v", p, err))
+	}
+	rep := PageReply{Seq: seq, Page: p, Demand: demand}
+	d.Stats.BytesSent += rep.WireSize()
+	if demand {
+		d.Stats.DemandServed++
+	} else {
+		d.Stats.PrefetchServed++
+	}
+	d.link.Send(d.node.NIC, netmodel.Message{Size: rep.WireSize(), Payload: rep})
 }

@@ -52,10 +52,8 @@ func (e *Engine) Pending() int { return e.queue.Len() }
 // whether one exists. The window scheduler uses it to compute conservative
 // horizons without disturbing the queue.
 func (e *Engine) NextAt() (simtime.Time, bool) {
-	if ev := e.queue.Peek(); ev != nil {
-		return ev.At, true
-	}
-	return 0, false
+	ev, ok := e.queue.Peek()
+	return ev.At, ok
 }
 
 // AdvanceTo moves the clock forward to t without running anything; instants
@@ -74,21 +72,19 @@ func (e *Engine) Interrupted() bool { return e.stopped }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero
 // (fire as soon as possible, after already-pending events at the current
-// instant). The returned handle can be passed to Cancel.
-func (e *Engine) Schedule(d simtime.Duration, fn func()) *eventq.Event {
+// instant). A scheduled event cannot be withdrawn; a callback that may
+// become moot checks its own state when it runs.
+func (e *Engine) Schedule(d simtime.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return e.queue.Push(e.now.Add(d), e.now, fn)
+	e.queue.Push(e.now.Add(d), e.now, fn)
 }
 
 // At schedules fn at the absolute instant t. Instants in the past are
 // clamped to the current time.
-func (e *Engine) At(t simtime.Time, fn func()) *eventq.Event {
-	if t < e.now {
-		t = e.now
-	}
-	return e.queue.Push(t, e.now, fn)
+func (e *Engine) At(t simtime.Time, fn func()) {
+	e.AtPushed(t, e.now, fn)
 }
 
 // AtPushed schedules fn at the absolute instant t recording pushedAt — an
@@ -96,16 +92,12 @@ func (e *Engine) At(t simtime.Time, fn func()) *eventq.Event {
 // its tie-break rank. The shard barrier uses it to inject events staged by
 // other engines into the exact slot a sequential push at pushedAt would
 // have occupied.
-func (e *Engine) AtPushed(t, pushedAt simtime.Time, fn func()) *eventq.Event {
+func (e *Engine) AtPushed(t, pushedAt simtime.Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	return e.queue.Push(t, pushedAt, fn)
+	e.queue.Push(t, pushedAt, fn)
 }
-
-// Cancel prevents a scheduled event from firing. It is safe to cancel an
-// event that already fired.
-func (e *Engine) Cancel(ev *eventq.Event) { e.queue.Cancel(ev) }
 
 // Stop makes the current Run return after the executing callback finishes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -122,8 +114,8 @@ func (e *Engine) Run(until simtime.Time) simtime.Time {
 	defer func() { e.running = false }()
 
 	for !e.stopped {
-		next := e.queue.Peek()
-		if next == nil {
+		next, ok := e.queue.Peek()
+		if !ok {
 			break
 		}
 		if next.At > until {
@@ -143,16 +135,12 @@ func (e *Engine) Run(until simtime.Time) simtime.Time {
 // coordinator interleaving several engines at a shared instant. The caller
 // has checked the queue is non-empty and the event is within its horizon.
 func (e *Engine) step() {
-	ev := e.queue.Pop()
+	ev, _ := e.queue.Pop()
 	if ev.At > e.now {
 		e.now = ev.At
 	}
 	e.curPushed = ev.PushedAt
-	fn := ev.Fn
-	ev.Fn = nil
-	if fn != nil {
-		fn()
-	}
+	ev.Fn()
 	e.Processed++
 	if e.MaxEvents != 0 && e.Processed > e.MaxEvents {
 		panic(fmt.Sprintf("sim: event budget exceeded (%d events, t=%v)", e.Processed, e.now))
@@ -168,8 +156,9 @@ func (e *Engine) RunAll() simtime.Time { return e.Run(simtime.Never) }
 type Ticker struct {
 	eng    *Engine
 	period simtime.Duration
-	ev     *eventq.Event
 	fn     func()
+	tick   func() // the fire method value, bound once so re-arming allocates nothing
+	seq    uint64 // queue sequence number of the pending tick
 }
 
 // NewTicker creates and starts a ticker with the given period. The first
@@ -179,21 +168,23 @@ func NewTicker(eng *Engine, period simtime.Duration, fn func()) *Ticker {
 		panic("sim: non-positive ticker period")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
+	t.tick = t.fire
 	t.schedule()
 	return t
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.eng.Schedule(t.period, func() {
-		t.schedule()
-		t.fn()
-	})
+	t.seq = t.eng.queue.Push(t.eng.now.Add(t.period), t.eng.now, t.tick)
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-		t.ev = nil
-	}
+// fire re-arms the ticker before running the callback, so a Stop inside
+// the callback withdraws the next tick.
+func (t *Ticker) fire() {
+	t.schedule()
+	t.fn()
 }
+
+// Stop removes the pending tick from the queue, so a run to quiescence
+// after Stop neither fires it nor advances the clock to it. Stopping
+// again is a no-op.
+func (t *Ticker) Stop() { t.eng.queue.Cancel(t.seq) }

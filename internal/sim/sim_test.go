@@ -128,17 +128,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(simtime.Second, func() { fired = true })
-	e.Cancel(ev)
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestReentrantRunPanics(t *testing.T) {
 	e := New()
 	e.Schedule(0, func() {
@@ -195,6 +184,9 @@ func TestRunHorizonAdvancesClockWithoutEvents(t *testing.T) {
 	}
 }
 
+// TestTicker stops a ticker from inside its own third tick: no fourth
+// tick fires, and the withdrawn tick leaves the clock, the event count and
+// the queue exactly where the third tick left them.
 func TestTicker(t *testing.T) {
 	e := New()
 	var ticks []simtime.Time
@@ -214,6 +206,39 @@ func TestTicker(t *testing.T) {
 		if at != want {
 			t.Fatalf("tick %d at %v, want %v", i, at, want)
 		}
+	}
+	assertQuiescent(t, e, simtime.Time(3*simtime.Second), 3)
+}
+
+// TestTickerStopFromAnotherEvent stops a ticker from an unrelated event
+// between ticks, the way a migration's completion stops both load
+// daemons: the pending tick is removed, not left to fire as a no-op that
+// would advance the clock and the event count. A second Stop is a no-op.
+func TestTickerStopFromAnotherEvent(t *testing.T) {
+	e := New()
+	var ticks []simtime.Time
+	tk := NewTicker(e, simtime.Second, func() { ticks = append(ticks, e.Now()) })
+	e.At(simtime.Time(2500*simtime.Millisecond), func() {
+		tk.Stop()
+		tk.Stop()
+	})
+	e.RunAll()
+	if len(ticks) != 2 {
+		t.Fatalf("ticks = %v, want 2", ticks)
+	}
+	assertQuiescent(t, e, simtime.Time(2500*simtime.Millisecond), 3)
+}
+
+// assertQuiescent checks the engine drained at now after processed events,
+// and that a further RunAll changes none of it.
+func assertQuiescent(t *testing.T, e *Engine, now simtime.Time, processed uint64) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		if e.Now() != now || e.Processed != processed || e.Pending() != 0 {
+			t.Fatalf("pass %d: now=%v processed=%d pending=%d, want %v/%d/0",
+				pass, e.Now(), e.Processed, e.Pending(), now, processed)
+		}
+		e.RunAll()
 	}
 }
 
