@@ -4,12 +4,13 @@
 # engine's one batch dispatcher (skip-on-cancel and failure aggregation
 # for both job kinds), the binary smoke tests, the campaign-service smoke
 # (HTTP submit, dedup and store-hit paths), a short fuzz pass over the AMPoM
-# prefetcher, the trace combinators and the scenario spec codec, one
-# bench-balance iteration so policy-dispatch overhead is tracked, the
-# fault-path microbenchmarks with their allocation counts (bench-core), one
-# bench-fabric iteration asserting the 512-, 4096- and 16384-node
-# presets' event budgets, plus the benchmark module's own vet and tests
-# (perfbench is a separate module that the root test run never builds).
+# prefetcher, the trace combinators, the scenario spec codec and sharded
+# runs' byte-identity, one bench-balance iteration so policy-dispatch
+# overhead is tracked, the fault-path microbenchmarks with their
+# allocation counts (bench-core), one bench-fabric iteration asserting the
+# 512-, 4096- and 16384-node presets' event budgets, plus the benchmark
+# module's own vet and tests (perfbench is a separate module that the root
+# test run never builds).
 
 GO ?= go
 
@@ -60,13 +61,15 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over the AMPoM per-fault analysis, the trace
-# combinator algebra, the scenario spec JSON codec and the event queue's
-# differential model against container/heap (the full corpora live in the
-# build cache; run with a longer -fuzztime to dig).
+# combinator algebra, the scenario spec JSON codec, shard byte-identity
+# over random small two-tier specs with repaired failure churn, and the
+# event queue's differential model against container/heap (the full
+# corpora live in the build cache; run with a longer -fuzztime to dig).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPrefetcherFault -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCompose -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSpecRoundTrip -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzShardIdentity -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzQueueVsHeap -fuzztime 10s ./internal/eventq
 
 # BenchmarkCampaign compares a sequential full-matrix campaign against the

@@ -65,27 +65,3 @@ func TestScale(t *testing.T) {
 		t.Fatalf("zero-scale node scaled 1s to %v", got)
 	}
 }
-
-func TestPCB(t *testing.T) {
-	eng := sim.New()
-	home := NewNode(eng, "home", 1)
-	p := NewPCB(42, "job", home)
-	if p.PID != 42 || p.Name != "job" || p.Home != home || p.Current != home {
-		t.Fatalf("fresh PCB = %+v, want pid 42 running at home", p)
-	}
-	if p.State != ProcRunning {
-		t.Fatalf("state = %v", p.State)
-	}
-}
-
-func TestProcStateString(t *testing.T) {
-	want := map[ProcState]string{
-		ProcRunning: "running", ProcFrozen: "frozen",
-		ProcDeputy: "deputy", ProcDone: "done",
-	}
-	for s, name := range want {
-		if s.String() != name {
-			t.Fatalf("%d.String() = %q", s, s.String())
-		}
-	}
-}

@@ -202,6 +202,23 @@ func (r *Result) FaultPrevention(baselineFaults int64) float64 {
 // freezeDone is the control payload completing a freeze-time bulk transfer.
 type freezeDone struct{ fn func() }
 
+// freezePages sets up the lightweight schemes' freeze: every page becomes
+// remote except the three "currently accessed" ones — the code, heap and
+// stack start pages — which travel with the freeze and are installed on
+// the migrant's side of the returned tables.
+func freezePages(as *memory.AddressSpace, layout memory.Layout) (*memory.TablePair, error) {
+	tables := memory.NewTablePair(layout.Pages())
+	as.EvictAllToRemote()
+	for _, kind := range []memory.RegionKind{memory.RegionCode, memory.RegionHeap, memory.RegionStack} {
+		p := layout.Region(kind).Start
+		as.SetState(p, memory.StateResident)
+		if err := tables.TransferToMigrant(p); err != nil {
+			return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
+		}
+	}
+	return tables, nil
+}
+
 // Run executes one experiment and returns its result.
 func Run(cfg RunConfig) (*Result, error) {
 	w := cfg.Workload
@@ -234,7 +251,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	origin.Handle(ctl)
 	dest.Handle(ctl)
 
-	pcb := cluster.NewPCB(1, w.Name, origin)
 	as := memory.NewAddressSpace(w.Layout)
 
 	res := &Result{
@@ -264,11 +280,12 @@ func Run(cfg RunConfig) (*Result, error) {
 		deputy     *paging.Deputy
 		resumeAt   simtime.Time
 		execEndAt  simtime.Time
+		finished   bool
 	)
 
 	finish := func(end simtime.Time) {
 		execEndAt = end
-		pcb.State = cluster.ProcDone
+		finished = true
 		if destDaemon != nil {
 			destDaemon.Stop()
 		}
@@ -281,8 +298,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	resume := func() {
 		resumeAt = eng.Now()
 		res.Freeze = resumeAt.Sub(simtime.Time(initTime + res.Precopy))
-		pcb.State = cluster.ProcRunning
-		pcb.Current = dest
 		exec.start(finish)
 	}
 
@@ -324,7 +339,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	migrationStart := simtime.Time(initTime + res.Precopy)
 	var fsFlushDone func(simtime.Time) // set by the FFA wiring below
 	eng.At(migrationStart, func() {
-		pcb.State = cluster.ProcFrozen
 		switch cfg.Scheme {
 		case OpenMosix:
 			// Ship every dirty page in one bulk stream; no deputy needed
@@ -385,17 +399,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		linkMF := netmodel.NewLink(eng, net, dest.NIC, fs.NIC)
 		linkMF.SetBackgroundLoad(cfg.BackgroundLoad)
 
-		tables := memory.NewTablePair(w.Layout.Pages())
-		as.EvictAllToRemote()
-		for _, p := range []memory.PageNum{
-			w.Layout.Region(memory.RegionCode).Start,
-			w.Layout.Region(memory.RegionHeap).Start,
-			w.Layout.Region(memory.RegionStack).Start,
-		} {
-			as.SetState(p, memory.StateResident)
-			if err := tables.TransferToMigrant(p); err != nil {
-				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
-			}
+		tables, err := freezePages(as, w.Layout)
+		if err != nil {
+			return nil, err
 		}
 		deputy = paging.NewDeputy(cal.Deputy, fs, linkMF, tables)
 		deputy.SetAvailableAfter(simtime.Never)
@@ -414,23 +420,12 @@ func Run(cfg RunConfig) (*Result, error) {
 		})
 
 	case NoPrefetch, AMPoM:
-		tables := memory.NewTablePair(w.Layout.Pages())
-		as.EvictAllToRemote()
-		// The three "currently accessed" pages travel with the freeze.
-		for _, p := range []memory.PageNum{
-			w.Layout.Region(memory.RegionCode).Start,
-			w.Layout.Region(memory.RegionHeap).Start,
-			w.Layout.Region(memory.RegionStack).Start,
-		} {
-			as.SetState(p, memory.StateResident)
-			if err := tables.TransferToMigrant(p); err != nil {
-				return nil, fmt.Errorf("migrate: installing freeze page: %w", err)
-			}
+		tables, err := freezePages(as, w.Layout)
+		if err != nil {
+			return nil, err
 		}
 		deputy = paging.NewDeputy(cal.Deputy, origin, link, tables)
 		pager = paging.NewPager(cal.Pager, dest, link, as)
-		pcbDeputy := cluster.NewPCB(1, w.Name+"-deputy", origin)
-		pcbDeputy.State = cluster.ProcDeputy
 
 		ec := execConfig{node: dest, src: w.Source(), as: as, cal: cal, pager: pager}
 		if cfg.Scheme == AMPoM {
@@ -454,7 +449,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	// --- Run to completion --------------------------------------------------
 	eng.MaxEvents = 500_000_000
 	eng.RunAll()
-	if pcb.State != cluster.ProcDone {
+	if !finished {
 		return nil, fmt.Errorf("migrate: %s/%s did not finish (t=%v, pending=%d)",
 			w.Name, cfg.Scheme, eng.Now(), eng.Pending())
 	}

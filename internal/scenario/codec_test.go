@@ -80,6 +80,10 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"invalid structure": `{"version": 1, "nodes": 1}`,
 		"trailing data":     `{"version": 1} {"version": 1}`,
 		"not json":          `nonsense`,
+		"negative network":  `{"version": 1, "network": {"latency_one_way": "-1ms", "bandwidth_bps": -1000}}`,
+		"negative latency":  `{"version": 1, "network": {"latency_one_way": "-1ms", "bandwidth_bps": 1000}}`,
+		"negative bw":       `{"version": 1, "network": {"latency_one_way": "1ms", "bandwidth_bps": -1000}}`,
+		"net-load node -7":  `{"version": 1, "churn": [{"at": "1s", "kind": "net-load", "node": -7, "factor": 0.5}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := DecodeSpec([]byte(doc)); err == nil {

@@ -27,8 +27,6 @@
 //     its migration arrives stale and lands dead.
 package scenario
 
-import "ampom/internal/cluster"
-
 // crash takes node v down. Its runnable residents either evacuate
 // (spec.Evacuate: real migrations shipped as the dying node's last gasp,
 // while its edge link is still up) or lose their progress and park
@@ -53,7 +51,7 @@ func (c *clusterSim) crash(v int) {
 	// Migrants caught between payload delivery and unfreeze on v: their
 	// restore dies with the node, so they revert to their sources.
 	for _, p := range snapshotProcs(c.lv.liveOn[v]) {
-		if p.frozen && p.restoring {
+		if p.state == stateRestoring {
 			c.failBack(p)
 		}
 	}
@@ -69,14 +67,10 @@ func (c *clusterSim) recover(v int) {
 	}
 	c.crashed[v] = false
 	c.ic.SetLinkState(v, true)
-	for _, p := range snapshotProcs(c.lv.liveOn[v]) {
-		if !p.suspended {
-			continue
+	for _, p := range c.lv.liveOn[v] { // resume edits only runnableOn
+		if p.state == stateSuspended {
+			c.lv.resume(p)
 		}
-		p.suspended = false
-		p.frozen = false
-		p.pcb.State = cluster.ProcRunning
-		c.lv.unfreeze(p)
 	}
 }
 
@@ -102,7 +96,7 @@ func (c *clusterSim) evacuate(v int) {
 			continue
 		}
 		c.st.Evacuations++
-		c.migrate(p, v, dst)
+		c.migrate(p, dst)
 	}
 }
 
@@ -115,7 +109,7 @@ func (c *clusterSim) evacTarget(v int) int {
 		if i == v || c.crashed[i] || !c.ic.PathUp(v, i) {
 			continue
 		}
-		load := float64(c.lv.live[i]) / c.nodes[i].CPUScale
+		load := float64(len(c.lv.liveOn[i])) / c.nodes[i].CPUScale
 		if best < 0 || load < bestLoad {
 			best, bestLoad = i, load
 		}
@@ -128,8 +122,6 @@ func (c *clusterSim) evacTarget(v int) int {
 // The process itself is never lost — crashes cost work, not workload.
 func (c *clusterSim) kill(p *proc) {
 	p.remaining = p.t.demand
-	p.suspended = true
-	p.pcb.State = cluster.ProcFrozen
 	c.lv.suspend(p)
 }
 
@@ -139,13 +131,13 @@ func (c *clusterSim) kill(p *proc) {
 // which an evacuation payload legitimately leaves through just before it
 // drops — can no longer deliver. Any such payload the fabric later drops
 // (or, rarely, still delivers over a path that healed around the check)
-// was bounced here first and arrives sequence-stale. A suspended frozen
-// migrant has already failed back and parked on its crashed source — it
-// is no longer in flight, so later down-transitions must not bounce it
+// was bounced here first and arrives sequence-stale. A migrant that
+// already failed back onto its crashed source is suspended there — no
+// longer in flight, so later down-transitions must not bounce it
 // again (a migrant restores or fails back exactly once).
 func (c *clusterSim) bounceSweep() {
 	for _, p := range c.procs {
-		if p.frozen && !p.restoring && !p.suspended && (c.crashed[p.node] || !c.ic.DestReachable(p.from, p.node)) {
+		if p.state == stateInFlight && (c.crashed[p.node] || !c.ic.DestReachable(p.from, p.node)) {
 			c.failBack(p)
 		}
 	}
@@ -158,21 +150,13 @@ func (c *clusterSim) bounceSweep() {
 // once; if the source itself crashed it parks suspended, frozen image
 // preserved, until recovery.
 func (c *clusterSim) failBack(p *proc) {
-	src := p.from
 	p.seq++
-	p.restoring = false
-	c.lv.failBack(p, p.node, src)
-	p.node = src
-	p.pcb.Current = c.nodes[src]
+	c.lv.failBack(p)
 	c.st.FrozenTotal += c.eng.Now().Sub(p.freezeStart)
 	c.st.FailBacks++
-	if c.crashed[src] {
-		p.suspended = true
-		return
+	if !c.crashed[p.node] {
+		c.lv.resume(p)
 	}
-	p.frozen = false
-	p.pcb.State = cluster.ProcRunning
-	c.lv.unfreeze(p)
 }
 
 // snapshotProcs copies a live-view resident list before iterating with

@@ -3,19 +3,24 @@
 // decision — an O(nodes+procs) scan, an O(n log n) re-sort of the load
 // order, and an O(procs) filter per source node — which made view
 // bookkeeping, not events, the budget of the large fabric presets. The
-// liveView replaces those scans with aggregates maintained O(1) at each
-// state transition (arrival, completion, freeze, unfreeze, migration,
-// balloon, CPU churn):
+// liveView replaces those scans with state maintained O(1) at each
+// lifecycle edge (arrival, completion, freeze, delivery, resume,
+// suspension, fail-back) and at balloon and CPU churn:
 //
-//   - per-node resident counts, runnable counts and resident memory, the
-//     exact sums the full rebuild produced (integer arithmetic, so the
-//     incremental totals are bit-identical to a recompute);
-//   - per-node runnable process lists in ascending id order, the exact
-//     sequence candidatesOn used to extract by filtering the global slice;
+//   - per-node resident memory, the exact sum the full rebuild produced
+//     (integer arithmetic, so the incremental total is bit-identical);
+//   - per-node resident and runnable process lists in ascending id order:
+//     their lengths are the counts the full rebuild produced, and their
+//     order the exact sequence candidatesOn used to extract by filtering
+//     the global slice;
 //   - derived NodeView rows plus the descending-load source order, kept
 //     sorted by a bounded repair: events mark their nodes dirty, and the
 //     next balance round re-derives only the dirty rows and re-inserts
 //     them into the order instead of re-sorting every node.
+//
+// Each edge is one liveView method that also sets the process's procState,
+// so the state and the view always change together (docs/failures.md
+// tabulates the edges).
 //
 // The contract is observational equivalence: every row, every ordering and
 // every aggregate a balance round reads is identical to what the full
@@ -39,21 +44,17 @@ type liveView struct {
 	nodes []*cluster.Node // CPUScale is read live at row refresh
 	capMB int64
 
-	// Aggregates, maintained O(1) per event. live counts the arrived,
-	// unfinished processes resident on a node (frozen migrants belong to
-	// their destination, as in the full rebuild); runnable excludes frozen
-	// processes; mem sums resident footprints.
-	live     []int
-	runnable []int
-	mem      []int64
+	// mem sums each node's resident footprints (frozen migrants belong to
+	// their destination, as in the full rebuild), maintained O(1) per event.
+	mem []int64
 
 	// runnableOn holds each node's runnable processes in ascending id
 	// order — the iteration order candidatesOn's global filter preserved.
 	runnableOn [][]*proc
 
 	// liveOn holds each node's arrived, unfinished residents in ascending
-	// id order — runnableOn plus the frozen in-migrants, which live on
-	// their destination like the live/mem aggregates. The quantum ticks
+	// id order — runnableOn plus the suspended and the frozen in-migrants,
+	// which live on their destination like mem. The quantum ticks
 	// iterate runnableOn; liveOn serves the per-node scans that must see
 	// frozen residents too (balloon churn), so neither ever walks the
 	// global process slice.
@@ -89,8 +90,6 @@ func newLiveView(nodes []*cluster.Node, capMB int64, shardOf []int, shards int) 
 	lv := &liveView{
 		nodes:      nodes,
 		capMB:      capMB,
-		live:       make([]int, n),
-		runnable:   make([]int, n),
 		mem:        make([]int64, n),
 		runnableOn: make([][]*proc, n),
 		liveOn:     make([][]*proc, n),
@@ -135,51 +134,53 @@ func (lv *liveView) dirtyCount() int {
 // candidate list.
 func (lv *liveView) arrive(p *proc) {
 	i := p.node
-	lv.live[i]++
-	lv.runnable[i]++
+	p.state = stateRunning
 	lv.mem[i] += p.footprintMB
 	lv.runnableOn[i] = insertByID(lv.runnableOn[i], p)
 	lv.liveOn[i] = insertByID(lv.liveOn[i], p)
 	lv.touch(i)
 }
 
-// depart retires a completing process. Completion only happens to runnable
+// complete retires a finishing process. Completion only happens to runnable
 // processes (the quantum loop skips frozen ones), so the candidate list
 // always holds p.
-func (lv *liveView) depart(p *proc) {
+func (lv *liveView) complete(p *proc) {
 	i := p.node
-	lv.live[i]--
-	lv.runnable[i]--
+	p.state = stateDone
 	lv.mem[i] -= p.footprintMB
 	lv.runnableOn[i] = removeByID(lv.runnableOn[i], p)
 	lv.liveOn[i] = removeByID(lv.liveOn[i], p)
 	lv.touch(i)
 }
 
-// freeze moves a migrating process from src to dst at freeze time: the
-// resident aggregates transfer immediately (a frozen migrant counts
-// towards its destination, as the balancer view always had it), while
-// runnability — and candidacy — lapse until unfreeze.
-func (lv *liveView) freeze(p *proc, src, dst int) {
-	lv.live[src]--
-	lv.runnable[src]--
+// freeze moves a migrating process from its node (kept as p.from) to dst
+// at freeze time: the resident aggregates transfer immediately (a frozen
+// migrant counts towards its destination, as the balancer view always had
+// it), while runnability — and candidacy — lapse until resume.
+func (lv *liveView) freeze(p *proc, dst int) {
+	src := p.node
+	p.state = stateInFlight
+	p.from, p.node = src, dst
 	lv.mem[src] -= p.footprintMB
 	lv.runnableOn[src] = removeByID(lv.runnableOn[src], p)
 	lv.liveOn[src] = removeByID(lv.liveOn[src], p)
-	lv.live[dst]++
 	lv.mem[dst] += p.footprintMB
 	lv.liveOn[dst] = insertByID(lv.liveOn[dst], p)
 	lv.touch(src)
 	lv.touch(dst)
 }
 
-// unfreeze restores a migrant's runnability on its destination. The
-// visible row is untouched — resident count, load and memory already moved
-// at freeze time — so no dirtying is needed; only the quantum shares and
-// the candidate list change.
-func (lv *liveView) unfreeze(p *proc) {
+// deliver marks a migrant's payload landed: it restores where it already
+// resides, so nothing else changes.
+func (lv *liveView) deliver(p *proc) { p.state = stateRestoring }
+
+// resume puts a restored migrant or a suspended process back on its node's
+// runnable list. The visible row is untouched — resident count,
+// load and memory already moved — so no dirtying is needed; only the
+// quantum shares and the candidate list change.
+func (lv *liveView) resume(p *proc) {
 	i := p.node
-	lv.runnable[i]++
+	p.state = stateRunning
 	lv.runnableOn[i] = insertByID(lv.runnableOn[i], p)
 }
 
@@ -191,19 +192,20 @@ func (lv *liveView) unfreeze(p *proc) {
 // queue slot, exactly what a recovering balancer should see.
 func (lv *liveView) suspend(p *proc) {
 	i := p.node
-	lv.runnable[i]--
+	p.state = stateSuspended
 	lv.runnableOn[i] = removeByID(lv.runnableOn[i], p)
 }
 
 // failBack reverses an interrupted migration's freeze-time transfer: the
-// resident aggregates move from the dead destination back to the source.
-// Runnability is the caller's decision — the migrant resumes at once on a
-// live source but stays suspended (still frozen) on a crashed one.
-func (lv *liveView) failBack(p *proc, dst, src int) {
-	lv.live[dst]--
+// resident aggregates move from the dead destination back to the source,
+// where the migrant parks suspended. The caller resumes it at once on a
+// live source; on a crashed one it stays suspended until recovery.
+func (lv *liveView) failBack(p *proc) {
+	dst, src := p.node, p.from
+	p.state = stateSuspended
+	p.node = src
 	lv.mem[dst] -= p.footprintMB
 	lv.liveOn[dst] = removeByID(lv.liveOn[dst], p)
-	lv.live[src]++
 	lv.mem[src] += p.footprintMB
 	lv.liveOn[src] = insertByID(lv.liveOn[src], p)
 	lv.touch(dst)
@@ -228,14 +230,14 @@ func (lv *liveView) refresh() {
 	}
 	for _, list := range lv.dirtyBy {
 		for _, i := range list {
-			scale := lv.nodes[i].CPUScale
+			scale, n := lv.nodes[i].CPUScale, len(lv.liveOn[i])
 			lv.rows[i] = sched.NodeView{
-				Procs:      lv.live[i],
+				Procs:      n,
 				CPUScale:   scale,
-				Load:       float64(lv.live[i]) / scale,
+				Load:       float64(n) / scale,
 				UsedMemMB:  lv.mem[i],
 				CapacityMB: lv.capMB,
-				QueueLen:   lv.live[i],
+				QueueLen:   n,
 			}
 		}
 	}

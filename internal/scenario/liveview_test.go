@@ -12,31 +12,30 @@ import (
 	"ampom/internal/simtime"
 )
 
-// rebuildAggregates recomputes the live view's aggregates the way the
-// pre-incremental runner did: one full scan of every process. lists are
-// the runnable candidate ids per node; residents additionally carry the
-// frozen in-migrants — the resident population the per-node tick and
-// balloon scans iterate.
-func rebuildAggregates(c *clusterSim) (live, runnable []int, mem []int64, lists, residents [][]int) {
+// resident reports whether p occupies a node: arrived and unfinished,
+// whether running, suspended or frozen (a frozen migrant belongs to its
+// destination).
+func resident(p *proc) bool { return p.state != statePending && p.state != stateDone }
+
+// rebuildAggregates recomputes the live view's state from procState alone,
+// the way the pre-incremental runner scanned every process: resident
+// memory, the runnable candidate ids and the resident ids per node.
+func rebuildAggregates(c *clusterSim) (mem []int64, lists, residents [][]int) {
 	n := c.spec.Nodes
-	live = make([]int, n)
-	runnable = make([]int, n)
 	mem = make([]int64, n)
 	lists = make([][]int, n)
 	residents = make([][]int, n)
 	for _, p := range c.procs {
-		if !p.arrived || p.done {
+		if !resident(p) {
 			continue
 		}
-		live[p.node]++
 		mem[p.node] += p.footprintMB
 		residents[p.node] = append(residents[p.node], p.t.id)
-		if !p.frozen {
-			runnable[p.node]++
+		if p.state == stateRunning {
 			lists[p.node] = append(lists[p.node], p.t.id)
 		}
 	}
-	return live, runnable, mem, lists, residents
+	return mem, lists, residents
 }
 
 // rebuildRows recomputes the NodeView rows and the descending-load source
@@ -50,7 +49,7 @@ func rebuildRows(c *clusterSim) ([]sched.NodeView, []int) {
 		rows[i].CapacityMB = c.spec.NodeMemMB
 	}
 	for _, p := range c.procs {
-		if p.arrived && !p.done {
+		if resident(p) {
 			rows[p.node].Procs++
 			rows[p.node].UsedMemMB += p.footprintMB
 		}
@@ -69,15 +68,14 @@ func rebuildRows(c *clusterSim) ([]sched.NodeView, []int) {
 	return rows, order
 }
 
-// verifyAggregates asserts the live counters and candidate lists equal a
-// full recompute at the current instant.
+// verifyAggregates asserts the live memory totals, candidate lists and
+// resident lists equal a full recompute at the current instant.
 func verifyAggregates(t *testing.T, c *clusterSim, when string) {
 	t.Helper()
-	live, runnable, mem, lists, residents := rebuildAggregates(c)
+	mem, lists, residents := rebuildAggregates(c)
 	for i := 0; i < c.spec.Nodes; i++ {
-		if c.lv.live[i] != live[i] || c.lv.runnable[i] != runnable[i] || c.lv.mem[i] != mem[i] {
-			t.Fatalf("%s: node %d aggregates live/runnable/mem = %d/%d/%d, rebuild %d/%d/%d",
-				when, i, c.lv.live[i], c.lv.runnable[i], c.lv.mem[i], live[i], runnable[i], mem[i])
+		if c.lv.mem[i] != mem[i] {
+			t.Fatalf("%s: node %d resident memory %d, rebuild %d", when, i, c.lv.mem[i], mem[i])
 		}
 		ids := make([]int, 0, len(c.lv.runnableOn[i]))
 		for _, p := range c.lv.runnableOn[i] {
@@ -114,7 +112,11 @@ func verifyDerived(t *testing.T, c *clusterSim, when string) {
 
 // churnSpec builds a randomised scenario with every churn kind, drawn from
 // one seed: mixed arrival models, CPU tiers, balloon growth, bursts,
-// slowdowns and background-load shifts, on a random topology.
+// slowdowns and background-load shifts, on a random topology. Switched
+// topologies also get the failure plane: a node crash paired with its
+// recovery and a link down/up pair (a rack uplink or an edge link on the
+// two-tier fabric, an edge link on the flat one), with Evacuate drawn at
+// random. Every failure is repaired, so every process can finish.
 func churnSpec(seed uint64) Spec {
 	rng := prng.New(seed)
 	topos := []fabric.Kind{fabric.KindStar, fabric.KindTwoTier, fabric.KindFlat}
@@ -141,15 +143,33 @@ func churnSpec(seed uint64) Spec {
 		s.Arrival = ArrivalPoisson
 		s.MeanInterarrival = 100 * simtime.Millisecond
 	}
+	if s.Fabric.Topology != fabric.KindStar {
+		crashAt := simtime.Duration(1+rng.Intn(4)) * simtime.Second
+		crashed := rng.Intn(nodes)
+		link := rng.Intn(nodes)
+		if racks := (nodes + 3) / 4; s.Fabric.Topology == fabric.KindTwoTier && rng.Intn(2) == 0 {
+			link = -1 - rng.Intn(racks)
+		}
+		downAt := simtime.Duration(1+rng.Intn(5)) * simtime.Second
+		s.Churn = append(s.Churn,
+			ChurnEvent{At: crashAt, Kind: ChurnNodeCrash, Node: crashed},
+			ChurnEvent{At: crashAt + simtime.Duration(1+rng.Intn(4))*simtime.Second, Kind: ChurnNodeRecover, Node: crashed},
+			ChurnEvent{At: downAt, Kind: ChurnLinkDown, Node: link},
+			ChurnEvent{At: downAt + simtime.Duration(1+rng.Intn(3))*simtime.Second, Kind: ChurnLinkUp, Node: link},
+		)
+		s.Evacuate = rng.Intn(2) == 0
+	}
 	return s.Canonical()
 }
 
-// TestLiveViewMatchesRebuild is the tentpole's central property: across
-// random churn/balloon/migration sequences, every balance round's
-// incrementally maintained view — aggregates, candidate lists, derived
-// rows and source order — is identical to a from-scratch rebuild, under
-// every registered policy and every topology.
+// TestLiveViewMatchesRebuild is the live view's central property: across
+// random churn/balloon/migration/failure sequences, every balance round's
+// incrementally maintained view — memory totals, candidate and resident
+// lists, derived rows and source order — is identical to a from-scratch
+// rebuild from procState, under every registered policy and every
+// topology.
 func TestLiveViewMatchesRebuild(t *testing.T) {
+	var crashes, evacuations, failBacks int
 	for seed := uint64(1); seed <= 6; seed++ {
 		spec := churnSpec(seed)
 		if err := spec.Validate(); err != nil {
@@ -175,19 +195,30 @@ func TestLiveViewMatchesRebuild(t *testing.T) {
 					}
 				}
 			}
-			c.run()
+			st := c.run()
 			if pol.Name() != sched.BaselineName && rounds == 0 {
 				t.Fatalf("seed %d: %s ran no balance rounds — the property was never checked", seed, pol.Name())
 			}
+			if st.Unfinished != 0 {
+				t.Fatalf("seed %d: %s left %d processes unfinished", seed, pol.Name(), st.Unfinished)
+			}
+			crashes += st.Crashes
+			evacuations += st.Evacuations
+			failBacks += st.FailBacks
 		}
+	}
+	if crashes == 0 || evacuations == 0 || failBacks == 0 {
+		t.Fatalf("sweep never reached the failure plane: %d crashes, %d evacuations, %d fail-backs",
+			crashes, evacuations, failBacks)
 	}
 }
 
 // TestLiveViewMatchesRebuildBetweenEvents steps one scenario through
 // virtual time in quantum-sized slices and re-verifies the aggregates
 // after every slice — catching any transition (arrival, completion,
-// freeze, unfreeze, balloon) that left the counters stale between balance
-// rounds, which the round-grained property test could miss.
+// freeze, resume, balloon, crash, evacuation, recovery) that left the
+// lists stale between balance rounds, which the round-grained property
+// test could miss. Seed 3 draws a flat fabric with an evacuating crash.
 func TestLiveViewMatchesRebuildBetweenEvents(t *testing.T) {
 	spec := churnSpec(3)
 	scales, tmpl := buildWorkload(spec, 3)
@@ -199,6 +230,10 @@ func TestLiveViewMatchesRebuildBetweenEvents(t *testing.T) {
 		verifyAggregates(t, c, at.String())
 		verifyDerived(t, c, at.String())
 		if c.doneN == len(c.procs) {
+			if c.st.Crashes == 0 || c.st.Evacuations == 0 {
+				t.Fatalf("scenario never crashed or evacuated a node (%d crashes, %d evacuations)",
+					c.st.Crashes, c.st.Evacuations)
+			}
 			return
 		}
 	}
@@ -347,7 +382,7 @@ func TestGossipViewIncrementalProbes(t *testing.T) {
 	sample := c.probeFor(src)()
 	wantQ, wantMem := 0, int64(0)
 	for _, p := range c.procs {
-		if p.arrived && !p.done && p.node == src {
+		if resident(p) && p.node == src {
 			wantQ++
 			wantMem += p.footprintMB
 		}

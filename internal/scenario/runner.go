@@ -105,28 +105,33 @@ func buildWorkload(spec Spec, seed uint64) (scales []float64, procs []procTempla
 	return scales, procs
 }
 
+// procState is where a process is in its lifecycle. The liveView's
+// transition methods are its only writers (see the edge table there).
+type procState uint8
+
+const (
+	statePending   procState = iota // not yet arrived
+	stateRunning                    // on node's runnable list
+	stateInFlight                   // frozen, payload crossing the fabric from `from` to node
+	stateRestoring                  // payload landed; node restoring until unfreeze
+	stateSuspended                  // parked on node while it is crashed
+	stateDone
+)
+
 // proc is one process's live state during a policy run.
 type proc struct {
 	t           procTemplate
-	pcb         *cluster.PCB
+	state       procState
 	remaining   simtime.Duration
 	footprintMB int64 // live footprint: balloon churn grows it mid-run
-	node        int
-	arrived     bool
-	frozen      bool
-	done        bool
+	node        int   // resident node; a migrant's destination from freeze on
 
-	// Failure-plane state. from is the source node of the migration in
-	// progress (the fail-back target while frozen); seq is bumped at every
-	// migrate and fail-back, so a payload delivery or scheduled unfreeze
-	// carrying a stale seq is a no-op; suspended parks the process off the
-	// tick lists while its node is crashed; restoring marks the window
-	// between payload delivery and unfreeze, when the migrant is already at
-	// its destination and only a crash of that destination can bounce it.
-	from      int
-	seq       uint64
-	suspended bool
-	restoring bool
+	// from is the source node of the last freeze (the fail-back target
+	// while frozen); seq is bumped at every migrate and fail-back, so a
+	// payload delivery or scheduled unfreeze carrying a stale seq is a
+	// no-op.
+	from int
+	seq  uint64
 
 	freezeStart simtime.Time
 	finishAt    simtime.Time
@@ -366,7 +371,6 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 	for i, t := range tmpl {
 		p := &proc{
 			t:           t,
-			pcb:         cluster.NewPCB(t.id, fmt.Sprintf("p%03d", t.id), c.nodes[t.node]),
 			remaining:   t.demand,
 			footprintMB: t.footprintMB,
 			node:        t.node,
@@ -376,14 +380,11 @@ func newClusterSimShards(spec Spec, scales []float64, tmpl []procTemplate, pol s
 		// slice of the live view (a process cannot have migrated before it
 		// arrived).
 		engOf(t.node).At(t.arriveAt, func() {
-			p.arrived = true
 			c.lv.arrive(p)
 			// An arrival on a crashed node parks until recovery — the node
 			// admits the process (it is resident) but cannot run it. The
 			// flags are written only by barrier-separated global events.
 			if c.crashed[p.node] {
-				p.suspended = true
-				p.pcb.State = cluster.ProcFrozen
 				c.lv.suspend(p)
 			}
 		})
@@ -468,7 +469,7 @@ func fnvHash(s string) uint64 {
 func (c *clusterSim) probeFor(i int) func() infod.LoadSample {
 	return func() infod.LoadSample {
 		s := infod.LoadSample{
-			Queue:     c.lv.live[i],
+			Queue:     len(c.lv.liveOn[i]),
 			UsedMemMB: c.lv.mem[i],
 		}
 		s.Load = float64(s.Queue) / c.nodes[i].CPUScale
@@ -523,13 +524,13 @@ func (c *clusterSim) run() SchemeStats {
 	collect := c.spec.HasFailures()
 	var slow float64
 	for _, p := range c.procs {
-		switch {
-		case p.done:
+		switch p.state {
+		case stateDone:
 			slow += float64(p.finishAt.Sub(p.t.arriveAt)) / float64(p.t.demand)
 			if collect {
 				sojourns = append(sojourns, p.finishAt.Sub(p.t.arriveAt))
 			}
-		case !p.arrived:
+		case statePending:
 			c.st.Unfinished++
 			slow += 1
 		default:
@@ -594,7 +595,7 @@ func (c *clusterSim) tick() {
 // touches another node's counters, so the single up-front read equals the
 // whole-cluster pre-scan the monolithic tick used to take.
 func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
-	cnt := c.lv.runnable[i]
+	cnt := len(c.lv.runnableOn[i])
 	if cnt == 0 {
 		return 0
 	}
@@ -606,11 +607,9 @@ func (c *clusterSim) tickNode(i int, now simtime.Time) (done int) {
 		p := c.lv.runnableOn[i][k]
 		p.remaining -= share
 		if p.remaining <= 0 {
-			p.done = true
-			p.pcb.State = cluster.ProcDone
 			p.finishAt = now.Add(c.spec.Quantum)
 			done++
-			c.lv.depart(p)
+			c.lv.complete(p)
 			continue
 		}
 		k++
@@ -830,7 +829,7 @@ func (c *clusterSim) balanceOnce() bool {
 			if !ok || dest == src || dest < 0 || dest >= c.spec.Nodes {
 				continue
 			}
-			c.migrate(p, src, dest)
+			c.migrate(p, dest)
 			return true
 		}
 	}
@@ -849,22 +848,18 @@ func (c *clusterSim) candidatesOn(node int) []*proc {
 	return c.candScratch
 }
 
-// migrate freezes cand and ships its freeze-time payload across the
+// migrate freezes p and ships its freeze-time payload across the
 // fabric's topology path (network-paced per hop, competing with daemon
 // traffic and other migrations). The freeze ends when the payload lands,
 // plus the destination-side restore costs.
-func (c *clusterSim) migrate(p *proc, src, dst int) {
+func (c *clusterSim) migrate(p *proc, dst int) {
 	p.seq++
-	p.from = src
-	p.frozen = true
 	p.freezeStart = c.eng.Now()
-	p.node = dst
 	p.migrations++
-	p.pcb.State = cluster.ProcFrozen
-	p.pcb.Current = c.nodes[dst]
-	c.lv.freeze(p, src, dst)
+	c.lv.freeze(p, dst)
 	c.st.Migrations++
 
+	src := p.from
 	bytes := c.freezeBytes(p)
 	if !c.ic.PathUp(src, dst) {
 		// Stale gossip steered the migrant at an unreachable destination.
@@ -899,7 +894,7 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 		panic(fmt.Sprintf("scenario: migration payload for node %d delivered to node %d", m.dest, node))
 	}
 	p := c.procs[m.pid]
-	if m.seq != p.seq || !p.frozen || p.node != m.dest {
+	if m.seq != p.seq || p.state != stateInFlight {
 		// The migration this payload belonged to was failed back while the
 		// bytes were in flight (destination crash or path failure); the
 		// process already resumed at its source.
@@ -912,10 +907,10 @@ func (c *clusterSim) deliver(node int, m migMsg) {
 // costs, the AMPoM working-set stream (charged as continued unavailability
 // at the daemons' estimated bandwidth), and the prefetch census.
 func (c *clusterSim) restore(p *proc, dst int) {
-	p.restoring = true
+	c.lv.deliver(p)
 	cal := 65 * simtime.Millisecond // openMosix protocol base cost
 	pages := footprintPages(p.footprintMB)
-	// The PCB's home node is the template's origin by construction and is
+	// The home node is the template's origin by construction and is
 	// never reassigned, so the index is known without scanning the cluster.
 	src := p.t.node
 	bw := c.ic.PathBandwidth(src, dst)
@@ -941,10 +936,10 @@ func (c *clusterSim) restore(p *proc, dst int) {
 	// sequence) and this event must land dead.
 	seq := p.seq
 	c.eng.Schedule(cal+extra, func() {
-		if p.seq != seq || !p.frozen {
-			return
+		if p.seq == seq && p.state == stateRestoring {
+			c.lv.resume(p)
+			c.st.FrozenTotal += c.eng.Now().Sub(p.freezeStart)
 		}
-		c.unfreeze(p)
 	})
 }
 
@@ -958,15 +953,6 @@ func (c *clusterSim) remotePages(p *proc, bw float64) bool {
 	}
 	_, extra := c.pol.MigrationCost(p.footprintMB, p.t.mix.WorkingSetFrac(), bw)
 	return extra > 0
-}
-
-// unfreeze resumes a restored migrant.
-func (c *clusterSim) unfreeze(p *proc) {
-	p.frozen = false
-	p.restoring = false
-	p.pcb.State = cluster.ProcRunning
-	c.lv.unfreeze(p)
-	c.st.FrozenTotal += c.eng.Now().Sub(p.freezeStart)
 }
 
 // dryRunCap bounds the prefetcher dry-run per migration; totals are

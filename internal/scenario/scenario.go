@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -241,7 +242,7 @@ func (f FabricSpec) Validate() error {
 		if f.RackSize < 2 {
 			return fmt.Errorf("scenario: fabric rack size %d below 2", f.RackSize)
 		}
-		if f.Oversub <= 0 || f.Oversub > 64 {
+		if !(f.Oversub > 0 && f.Oversub <= 64) {
 			return fmt.Errorf("scenario: fabric oversubscription %g out of (0,64]", f.Oversub)
 		}
 	case fabric.KindFlat:
@@ -542,7 +543,7 @@ func (s Spec) validateShape() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("scenario: need at least 2 nodes, have %d", s.Nodes)
 	}
-	// Written as the positive condition so NaN fractions fail too: every
+	// Each float check is the positive condition, so NaN fails too: every
 	// comparison against NaN is false, which made the old negated form
 	// (frac < 0 || ...) wave NaNs through into buildWorkload. The sum also
 	// rejects overlapping tiers (slow+fast > 1), where the fast tier would
@@ -551,10 +552,10 @@ func (s Spec) validateShape() error {
 	if !(s.SlowFrac >= 0 && s.FastFrac >= 0 && s.SlowFrac+s.FastFrac <= 1) {
 		return fmt.Errorf("scenario: node-tier fractions slow=%g fast=%g out of range (want non-negative, slow+fast <= 1)", s.SlowFrac, s.FastFrac)
 	}
-	if s.SlowScale <= 0 || s.FastScale <= 0 {
-		return fmt.Errorf("scenario: non-positive CPU scale")
+	if !(positiveFinite(s.SlowScale) && positiveFinite(s.FastScale)) {
+		return fmt.Errorf("scenario: CPU scales slow=%g fast=%g must be positive and finite", s.SlowScale, s.FastScale)
 	}
-	if s.Skew > 1 {
+	if !(s.Skew <= 1) {
 		return fmt.Errorf("scenario: skew %g above 1", s.Skew)
 	}
 	if s.MeanCompute <= 0 || s.MeanInterarrival <= 0 || s.BalancePeriod <= 0 ||
@@ -568,10 +569,13 @@ func (s Spec) validateShape() error {
 	if s.NodeMemMB <= 0 {
 		return fmt.Errorf("scenario: non-positive node memory %d MB", s.NodeMemMB)
 	}
-	if s.CostThreshold <= 0 {
-		return fmt.Errorf("scenario: non-positive cost threshold %g", s.CostThreshold)
+	if !positiveFinite(s.Network.BandwidthBps) || s.Network.LatencyOneWay < 0 {
+		return fmt.Errorf("scenario: network bandwidth %g B/s, latency %v out of range (want finite bandwidth > 0, latency >= 0)", s.Network.BandwidthBps, s.Network.LatencyOneWay)
 	}
-	if s.BackgroundLoad < 0 || s.BackgroundLoad > 0.95 {
+	if !positiveFinite(s.CostThreshold) {
+		return fmt.Errorf("scenario: cost threshold %g must be positive and finite", s.CostThreshold)
+	}
+	if !(s.BackgroundLoad >= 0 && s.BackgroundLoad <= 0.95) {
 		return fmt.Errorf("scenario: background load %g out of [0,0.95]", s.BackgroundLoad)
 	}
 	if err := s.Fabric.Validate(); err != nil {
@@ -602,8 +606,8 @@ func (s Spec) validateShape() error {
 			if c.Node < 0 || c.Node >= s.Nodes {
 				return fmt.Errorf("scenario: churn[%d] slow-node targets node %d of %d", i, c.Node, s.Nodes)
 			}
-			if c.Factor <= 0 {
-				return fmt.Errorf("scenario: churn[%d] slow-node factor %g must be positive", i, c.Factor)
+			if !positiveFinite(c.Factor) {
+				return fmt.Errorf("scenario: churn[%d] slow-node factor %g must be positive and finite", i, c.Factor)
 			}
 		case ChurnBurst:
 			if c.Node < 0 || c.Node >= s.Nodes {
@@ -615,18 +619,20 @@ func (s Spec) validateShape() error {
 		case ChurnNetLoad:
 			// On the star, node 0 is the hub and has no link of its own;
 			// switched fabrics give every node an edge link.
-			if c.Node >= s.Nodes || (c.Node == 0 && s.Fabric.IsDefault()) {
+			// -1 is the only "all links" selector: any other negative node
+			// would run identically but fingerprint differently.
+			if !(c.Node >= -1 && c.Node < s.Nodes) || (c.Node == 0 && s.Fabric.IsDefault()) {
 				return fmt.Errorf("scenario: churn[%d] net-load targets node %d of %d (0 is the hub; use -1 for all spokes)", i, c.Node, s.Nodes)
 			}
-			if c.Factor < 0 || c.Factor > 0.95 {
+			if !(c.Factor >= 0 && c.Factor <= 0.95) {
 				return fmt.Errorf("scenario: churn[%d] net-load %g out of [0,0.95]", i, c.Factor)
 			}
 		case ChurnBalloon:
 			if c.Node < 0 || c.Node >= s.Nodes {
 				return fmt.Errorf("scenario: churn[%d] balloon targets node %d of %d", i, c.Node, s.Nodes)
 			}
-			if c.Factor <= 0 {
-				return fmt.Errorf("scenario: churn[%d] balloon factor %g must be positive", i, c.Factor)
+			if !positiveFinite(c.Factor) {
+				return fmt.Errorf("scenario: churn[%d] balloon factor %g must be positive and finite", i, c.Factor)
 			}
 		case ChurnNodeCrash, ChurnNodeRecover:
 			// The failure plane models link state and reachability, which the
@@ -668,6 +674,10 @@ func (s Spec) validateShape() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable scale factor: above zero and
+// below infinity, which also rejects NaN.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // HasFailures reports whether the spec schedules failure-plane churn
 // (node crashes/recoveries, link transitions) — the condition under which

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ampom/internal/fabric"
+	"ampom/internal/netmodel"
 	"ampom/internal/sched"
 	"ampom/internal/simtime"
 )
@@ -109,10 +110,44 @@ func TestValidateRejects(t *testing.T) {
 		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 99, Factor: 0.5}}},
 		{Churn: []ChurnEvent{{Kind: ChurnBurst, Node: 0, Procs: 0}}},
 		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: 0, Factor: 0.5}}},
+		// NaN fails every comparison, so each check must be the condition
+		// a valid value meets; infinities cannot be encoded either.
+		{SlowScale: math.NaN()},
+		{FastScale: math.NaN()},
+		{FastScale: math.Inf(1)},
+		{Skew: math.NaN()},
+		{CostThreshold: math.NaN()},
+		{CostThreshold: math.Inf(1)},
+		{BackgroundLoad: math.NaN()},
+		{Fabric: FabricSpec{Topology: fabric.KindTwoTier, Oversub: math.NaN()}},
+		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 1, Factor: math.NaN()}}},
+		{Churn: []ChurnEvent{{Kind: ChurnSlowNode, Node: 1, Factor: math.Inf(1)}}},
+		{Churn: []ChurnEvent{{Kind: ChurnBalloon, Node: 1, Factor: math.NaN()}}},
+		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: 1, Factor: math.NaN()}}},
+		// -1 is the only all-links selector; -7 would run like it but
+		// fingerprint differently.
+		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: -7, Factor: 0.5}}},
+		// The network profile: Canonical fills in a zero bandwidth, but a
+		// negative or non-finite one, or a negative latency, must fail.
+		{Network: netmodel.Profile{LatencyOneWay: -simtime.Millisecond, BandwidthBps: -1000}},
+		{Network: netmodel.Profile{LatencyOneWay: simtime.Millisecond, BandwidthBps: -1000}},
+		{Network: netmodel.Profile{LatencyOneWay: -simtime.Millisecond, BandwidthBps: 1000}},
+		{Network: netmodel.Profile{BandwidthBps: math.NaN()}},
+		{Network: netmodel.Profile{BandwidthBps: math.Inf(1)}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
+		}
+	}
+	// The boundaries stay valid: a zero-latency network and the -1
+	// all-links net-load selector.
+	for i, s := range []Spec{
+		{Network: netmodel.Profile{BandwidthBps: 1000}},
+		{Churn: []ChurnEvent{{Kind: ChurnNetLoad, Node: -1, Factor: 0.5}}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("boundary spec %d rejected: %v", i, err)
 		}
 	}
 }
